@@ -20,10 +20,17 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_dse_hotpath.py
     PYTHONPATH=src python benchmarks/bench_dse_hotpath.py --max-pes 512 --check-only
 
+Both modes also gate the schedule backend's batched Phase I: each
+workload is explored on the schedule backend twice — through the
+batched ``ScheduleBackend.score_geometries`` and through the base-class
+scalar scan — and the two ``DseReport``s must be byte-identical with
+equal model-probe counts.
+
 ``--check-only`` runs the equivalence contract at a small budget and
 skips the timing sweep — CI's perf-smoke job uses it to guard the
-*results* contract (bisect ≡ dense, bit for bit) without depending on
-runner wall-clock. Exit status 1 on any cross-mode mismatch.
+*results* contract (bisect ≡ dense, batched schedule ≡ scalar schedule,
+bit for bit) without depending on runner wall-clock. Exit status 1 on
+any mismatch.
 """
 
 from __future__ import annotations
@@ -46,7 +53,12 @@ from repro.dse.timing import (  # noqa: E402
 )
 from repro.flow.sweep import ScenarioGrid, run_sweep  # noqa: E402
 from repro.graph import build_dataflow_graph  # noqa: E402
+from repro.model.backend import (  # noqa: E402
+    EvaluationBackend,
+    ScheduleBackend,
+)
 from repro.model.cache import clear_model_caches  # noqa: E402
+from repro.quant import MIXED_PRECISION_PRESETS  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 
 DEFAULT_WORKLOADS = ("nvsa", "mimonet")
@@ -138,6 +150,40 @@ def check_equivalence(reports: dict[str, object], context: str) -> list[str]:
     return failures
 
 
+class ScalarScheduleOracle(ScheduleBackend):
+    """The schedule backend priced through the base-class scalar scan."""
+
+    score_geometry = EvaluationBackend.score_geometry
+    score_geometries = EvaluationBackend.score_geometries
+
+
+def check_schedule_identity(name: str, max_pes: int) -> list[str]:
+    """Batched vs scalar schedule-backend reports; returns mismatch notes."""
+    graph = build_dataflow_graph(build_workload(name).build_trace())
+    precision = MIXED_PRECISION_PRESETS["MP"]
+    runs = {}
+    for label, cls in (("batched", ScheduleBackend),
+                       ("scalar", ScalarScheduleOracle)):
+        clear_model_caches()
+        clear_stage_timings()
+        report = DseEngine(
+            max_pes=max_pes, precision=precision,
+            backend=cls.from_precision(precision),
+        ).explore(graph)
+        probes = stage_timings()["phase1.model_probes"].items
+        runs[label] = (pickle.dumps(report), probes)
+    failures = []
+    context = f"{name}@{max_pes} schedule backend"
+    if runs["batched"][0] != runs["scalar"][0]:
+        failures.append(f"{context}: DseReport differs between batched and scalar")
+    if runs["batched"][1] != runs["scalar"][1]:
+        failures.append(
+            f"{context}: model probes {runs['batched'][1]} (batched) != "
+            f"{runs['scalar'][1]} (scalar)"
+        )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-pes", type=int, default=8192,
@@ -160,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in workloads:
         row, reports = bench_workload(name, args.max_pes)
         failures.extend(check_equivalence(reports, f"{name}@{args.max_pes}"))
+        failures.extend(check_schedule_identity(name, args.max_pes))
         rows.append(row)
         d, b = row["modes"]["dense"], row["modes"]["bisect"]
         print(f"{name:>10} @ {args.max_pes} PEs: "
@@ -173,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"EQUIVALENCE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(f"equivalence: all {len(workloads)} workloads byte-identical "
-          "across partition_search modes")
+          "across partition_search modes and batched/scalar schedule "
+          "pricing")
     if args.check_only:
         return 0
 

@@ -4,8 +4,9 @@
 For each bench workload this times three Phase I regimes through
 :meth:`repro.dse.engine.DseEngine.explore`:
 
-* ``exhaustive`` under the ``schedule`` backend — every candidate pays
-  the memory-aware timeline's ``O(N)`` dense partition scan;
+* ``exhaustive`` under the ``schedule`` backend — every candidate's
+  ``N − 1`` splits are priced on the memory-aware timeline (batched
+  per work unit);
 * ``multifidelity`` under the ``schedule`` backend — one batched
   analytic screen, then full pricing only for candidates whose lower
   bound is not already Pareto-dominated (see

@@ -677,8 +677,8 @@ def _evaluate_candidates(
 
     The analytic backend pre-evaluates every geometry's sequential
     runtime in a single NumPy pass over the whole batch before running
-    the per-geometry partition search; other backends score geometries
-    one by one.
+    the per-geometry partition search; the schedule backend prices
+    every ``(geometry, N̄l)`` row of the batch in one NumPy pass.
     """
     faultpoint("dse.evaluate")
     backend = backend or _ANALYTIC_BACKEND

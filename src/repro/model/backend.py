@@ -24,7 +24,13 @@ first-class, swappable decision:
   flight ahead of compute per unit), and the AXI bandwidth pipe of
   :class:`repro.arch.dram.DramModel` — so the DSE can rank designs by
   end-to-end time (compute *plus* non-hidden memory traffic) rather
-  than compute-only cycles.
+  than compute-only cycles. Its Phase I scoring runs the timeline for
+  every ``(geometry, N̄l)`` row of a work unit in one int64 NumPy pass,
+  bit-identical to the scalar scan.
+
+The base-class :meth:`EvaluationBackend.score_geometry` scan is the one
+scalar reference every override must reproduce (the differential tests
+in ``tests/model/test_backend_differential.py`` use it as the oracle).
 
 Contract (enforced by ``tests/model/test_backend.py``):
 
@@ -57,6 +63,9 @@ from ..nn.gemm import GemmDims
 from ..trace.opnode import VsaDims
 from ..utils import ceil_div
 from .batch import (
+    _INT64_HEADROOM,
+    _ceil_div,
+    _worst_case_total,
     bisect_uniform_partition,
     dense_uniform_partition,
     fits_int64_domain,
@@ -590,14 +599,100 @@ class AnalyticBackend(EvaluationBackend):
 
 
 @dataclass(frozen=True)
-class _NodeTask:
-    """One node's demand on its unit and the DRAM channel."""
+class _NodeDemand:
+    """One node's DRAM traffic: bytes moved and their AXI transfer cycles.
+
+    Demand depends only on the node's dims and the bytes per element —
+    never on the geometry or the partition — so one list of demands is
+    built per pricing call and shared by every task priced under it.
+    """
 
     name: str
-    compute: int
-    fill: int
     in_bytes: int
     out_bytes: int
+    t_in: int
+    t_out: int
+
+
+@dataclass(frozen=True)
+class _NodeTask:
+    """One node's work on its unit at a given geometry and allocation."""
+
+    compute: int
+    fill: int
+    demand: _NodeDemand
+
+
+#: Cells (rows × nodes) per NumPy pass of the batched timeline: bounds
+#: the working set of one pass to a few MB however large the design
+#: space, while keeping each pass wide enough to amortize dispatch.
+_PASS_CELLS = 1 << 17
+
+
+def _row_durations(h, w, nl, nv, dims):
+    """Eq. 1 and Eqs. 3/4 durations of ``B`` rows: ``(B, L)``, ``(B, V)``.
+
+    ``h``/``w``/``nl``/``nv`` are ``(B, 1)`` columns. Each row's VSA
+    durations follow its own Eq. 5 whole-loop mapping (ties to spatial),
+    exactly as :meth:`AnalyticBackend._vsa_loop_mapping` picks it.
+    """
+    m, n, k, vn, vd = dims
+    nn = (2 * h + w + m - 2) * _ceil_div(_ceil_div(n, nl), h) * _ceil_div(k, w)
+    t = 3 * h + vd - 1
+    spatial = vn * _ceil_div(vd, w * h * nv) * t
+    temporal = _ceil_div(vn, w) * _ceil_div(vd, h * nv) * t
+    use_spatial = (
+        spatial.sum(axis=1, keepdims=True) <= temporal.sum(axis=1, keepdims=True)
+    )
+    return nn, np.where(use_spatial, spatial, temporal)
+
+
+def _batched_timeline(unit0, unit1) -> np.ndarray:
+    """:meth:`ScheduleBackend._timeline` totals for ``B`` rows at once.
+
+    Each unit's stream is ``(durations (B, n), t_in (n,), t_out (n,))``:
+    unit 0 is the NN partition (the whole array in sequential mode) and
+    wins ``unit_free`` ties; unit 1 is the VSA partition and may be
+    empty. Steps run outer and rows inner: at step ``s`` every row
+    issues its own ``s``-th event, picked by the scalar rule, so each
+    row replays exactly the scalar event order and every total is the
+    scalar integer.
+    """
+    (d0, tin0, tout0), (d1, tin1, tout1) = unit0, unit1
+    n0, n1 = d0.shape[1], d1.shape[1]
+    rows = d0.shape[0]
+    busy = (
+        d0.sum(axis=1) + d1.sum(axis=1)
+        + int(tin0.sum() + tout0.sum() + tin1.sum() + tout1.sum())
+    )
+    # One zero pad column per stream: an exhausted stream's pointer
+    # gathers the pad instead of indexing out of range.
+    d0, d1 = (np.pad(d, ((0, 0), (0, 1))).ravel() for d in (d0, d1))
+    tin0, tout0, tin1, tout1 = (
+        np.append(a, 0) for a in (tin0, tout0, tin1, tout1)
+    )
+    base0 = np.arange(rows, dtype=np.int64) * (n0 + 1)
+    base1 = np.arange(rows, dtype=np.int64) * (n1 + 1)
+    zeros = np.zeros(rows, dtype=np.int64)
+    p0, p1, free0, free1, prev0, prev1, dram_free = (zeros.copy() for _ in range(7))
+    for _ in range(n0 + n1):
+        pick1 = (p0 >= n0) | ((p1 < n1) & (free1 < free0))
+        duration = np.where(pick1, d1[base1 + p1], d0[base0 + p0])
+        t_in = np.where(pick1, tin1[p1], tin0[p0])
+        t_out = np.where(pick1, tout1[p1], tout0[p0])
+        xfer_done = np.maximum(dram_free, np.where(pick1, prev1, prev0)) + t_in
+        start = np.maximum(np.where(pick1, free1, free0), xfer_done)
+        # ``start >= xfer_done``, so the drain queues behind the start.
+        dram_free = start + t_out
+        end = start + duration
+        free0 = np.where(pick1, free0, end)
+        free1 = np.where(pick1, end, free1)
+        prev0 = np.where(pick1, prev0, start)
+        prev1 = np.where(pick1, start, prev1)
+        p0 += ~pick1
+        p1 += pick1
+    makespan = np.maximum(np.maximum(free0, free1), dram_free)
+    return np.minimum(busy, makespan)
 
 
 class ScheduleBackend(EvaluationBackend):
@@ -621,6 +716,12 @@ class ScheduleBackend(EvaluationBackend):
     price identically (all DRAM cycles overlap), while memory-bound
     designs pay the exposed transfer tail — which is what re-ranks
     geometries the analytic model sees as ties.
+
+    The scalar :meth:`_timeline` prices single designs
+    (:meth:`evaluate_design`, Phase II moves). Phase I prices every
+    ``(geometry, N̄l)`` row of a work unit in one int64 NumPy pass
+    (:meth:`score_geometries`), bit-identical to the base-class scalar
+    scan, which stays the reference.
 
     Parameters are plain value objects so instances pickle cleanly into
     process-pool workers: bytes-per-element for the two workload halves
@@ -669,47 +770,55 @@ class ScheduleBackend(EvaluationBackend):
 
     # -- per-node demand -------------------------------------------------------
 
-    def _layer_task(
-        self, h: int, w: int, alloc: int, dims: GemmDims, name: str
-    ) -> _NodeTask:
-        compute, fill = AnalyticBackend._layer_split(h, w, alloc, dims)
-        in_elems = dims.n * dims.k + dims.m * dims.k     # weights + ifmap
-        out_elems = dims.m * dims.n                      # ofmap
-        return _NodeTask(
-            name=name, compute=compute, fill=fill,
-            in_bytes=int(in_elems * self.neural_bytes),
-            out_bytes=int(out_elems * self.neural_bytes),
+    def _node_demand(
+        self, name: str, in_elems: int, out_elems: int, bytes_per_elem: float
+    ) -> _NodeDemand:
+        in_bytes = int(in_elems * bytes_per_elem)
+        out_bytes = int(out_elems * bytes_per_elem)
+        return _NodeDemand(
+            name=name, in_bytes=in_bytes, out_bytes=out_bytes,
+            t_in=self.dram.transfer_cycles(in_bytes),
+            t_out=self.dram.transfer_cycles(out_bytes),
         )
 
-    def _vsa_task(
-        self, h: int, w: int, alloc: int, dims: VsaDims, mapping: str, name: str
-    ) -> _NodeTask:
-        compute, fill = AnalyticBackend._vsa_split(h, w, alloc, dims, mapping)
-        in_elems = dims.n * dims.d + dims.d              # operands + stationary
-        out_elems = dims.n * dims.d
-        return _NodeTask(
-            name=name, compute=compute, fill=fill,
-            in_bytes=int(in_elems * self.symbolic_bytes),
-            out_bytes=int(out_elems * self.symbolic_bytes),
-        )
+    def _demand(
+        self, layers, vsa_nodes, layer_names=None, vsa_names=None,
+    ) -> tuple[list[_NodeDemand], list[_NodeDemand]]:
+        """Per-node traffic of both node sets, geometry-independent."""
+        nn = [
+            # weights + ifmap in, ofmap out
+            self._node_demand(
+                name, d.n * d.k + d.m * d.k, d.m * d.n, self.neural_bytes
+            )
+            for name, d in zip(_node_names("layer", layers, layer_names), layers)
+        ]
+        vsa = [
+            # operands + stationary in, results out
+            self._node_demand(
+                name, d.n * d.d + d.d, d.n * d.d, self.symbolic_bytes
+            )
+            for name, d in zip(_node_names("vsa", vsa_nodes, vsa_names), vsa_nodes)
+        ]
+        return nn, vsa
 
+    @staticmethod
     def _streams(
-        self, h, w, nl, nv, layers, vsa_nodes,
-        layer_names=None, vsa_names=None,
+        h, w, nl, nv, layers, vsa_nodes, demand,
     ) -> tuple[list[_NodeTask], list[_NodeTask]]:
-        l_names = _node_names("layer", layers, layer_names)
-        v_names = _node_names("vsa", vsa_nodes, vsa_names)
+        nn_demand, vsa_demand = demand
         mapping = (
             AnalyticBackend._vsa_loop_mapping(h, w, nv, vsa_nodes)
             if vsa_nodes else "spatial"
         )
         nn = [
-            self._layer_task(h, w, alloc, dims, name)
-            for name, alloc, dims in zip(l_names, nl, layers)
+            _NodeTask(*AnalyticBackend._layer_split(h, w, alloc, dims), node)
+            for alloc, dims, node in zip(nl, layers, nn_demand)
         ]
         vsa = [
-            self._vsa_task(h, w, alloc, dims, mapping, name)
-            for name, alloc, dims in zip(v_names, nv, vsa_nodes)
+            _NodeTask(
+                *AnalyticBackend._vsa_split(h, w, alloc, dims, mapping), node
+            )
+            for alloc, dims, node in zip(nv, vsa_nodes, vsa_demand)
         ]
         return nn, vsa
 
@@ -741,10 +850,11 @@ class ScheduleBackend(EvaluationBackend):
                 break
             u = min(live, key=lambda i: (unit_free[i], i))
             task = streams[u][ptrs[u]]
+            demand = task.demand
             ptrs[u] += 1
             # Double buffering: one prefetch in flight per unit — the
             # shadow bank frees when the previous node starts computing.
-            t_in = self.dram.transfer_cycles(task.in_bytes)
+            t_in = demand.t_in
             xfer_start = max(dram_free, prev_start[u])
             xfer_done = xfer_start + t_in
             dram_free = xfer_done
@@ -757,12 +867,11 @@ class ScheduleBackend(EvaluationBackend):
             # stalls the unit (the controller's spill rule). Each
             # output byte is priced exactly once.
             spill = 0
-            drain_bytes = task.out_bytes
-            if mem_c_bytes is not None and task.out_bytes > mem_c_bytes:
-                spill = self.dram.transfer_cycles(task.out_bytes - mem_c_bytes)
-                drain_bytes = mem_c_bytes
+            t_out = demand.t_out
+            if mem_c_bytes is not None and demand.out_bytes > mem_c_bytes:
+                spill = self.dram.transfer_cycles(demand.out_bytes - mem_c_bytes)
+                t_out = self.dram.transfer_cycles(mem_c_bytes)
             end = start + duration
-            t_out = self.dram.transfer_cycles(drain_bytes)
             dram_free = max(dram_free, start) + t_out
             if spill:
                 # The spill transfer needs both the finished output and
@@ -771,7 +880,7 @@ class ScheduleBackend(EvaluationBackend):
                 end = dram_free
             prev_start[u] = start
             unit_free[u] = end
-            node_cycles[task.name] = end - start
+            node_cycles[demand.name] = end - start
             compute_total += task.compute
             fill_total += task.fill
             dram_total += t_in + t_out + spill
@@ -792,19 +901,147 @@ class ScheduleBackend(EvaluationBackend):
     # -- protocol --------------------------------------------------------------
 
     def sequential_cycles(self, h, w, n_sub, layers, vsa_nodes) -> int:
-        nn, vsa = self._streams(
-            h, w,
-            _sequential_allocs(n_sub, len(layers)),
-            _sequential_allocs(n_sub, len(vsa_nodes)),
-            layers, vsa_nodes,
-        )
-        breakdown, _ = self._timeline([list(nn) + list(vsa)])
-        return breakdown.total
+        return self.evaluate_design(
+            h, w, n_sub, "sequential", (), (), layers, vsa_nodes
+        ).total_cycles
 
     def parallel_cycles(self, h, w, nl, nv, layers, vsa_nodes) -> int:
-        nn, vsa = self._streams(h, w, nl, nv, layers, vsa_nodes)
-        breakdown, _ = self._timeline([nn, vsa])
-        return breakdown.total
+        return self.partition_pricer(h, w, layers, vsa_nodes)(nl, nv)
+
+    def partition_pricer(self, h, w, layers, vsa_nodes):
+        """Phase II's repeat pricing with the per-node demand hoisted.
+
+        Bytes and transfer cycles do not depend on the partition, so
+        they are built once per geometry; each refinement move rebuilds
+        only the compute/fill durations and runs the scalar
+        :meth:`_timeline`.
+        """
+        demand = self._demand(layers, vsa_nodes)
+
+        def price(nl, nv) -> int:
+            streams = self._streams(h, w, nl, nv, layers, vsa_nodes, demand)
+            breakdown, _ = self._timeline(streams)
+            return breakdown.total
+
+        return price
+
+    def score_geometry(
+        self, h, w, n_sub, layers, vsa_nodes, search="dense",
+    ) -> GeometryScore:
+        """One geometry: the single-geometry case of :meth:`score_geometries`."""
+        return self.score_geometries(
+            [(h, w, n_sub)], layers, vsa_nodes, search
+        )[0]
+
+    def score_geometries(
+        self, geometries, layers, vsa_nodes, search="dense",
+    ) -> list[GeometryScore]:
+        """Price every ``(geometry, N̄l)`` row of a work unit in one pass.
+
+        Field-for-field equal to the base-class scalar scan
+        (``EvaluationBackend.score_geometry``): every geometry's
+        sequential timeline and every static split's parallel timeline
+        run as rows of :func:`_batched_timeline` over int64 arrays, and
+        the per-geometry winner is the first-occurrence argmin — the
+        scan's strict-``<`` first-wins rule. Per-node transfer cycles
+        are built once per call. When an exact Python-int bound on the
+        largest value a row can reach (the analytic worst case plus all
+        transfer cycles) nears int64, each geometry is re-checked alone
+        and the ones still too large take the scalar scan. ``search``
+        is ignored: the batched dense pass is this backend's only
+        strategy.
+        """
+        geometries = list(geometries)
+        if not geometries:
+            return []
+        layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
+        nn_demand, vsa_demand = self._demand(layers, vsa_nodes)
+        hs = [g[0] for g in geometries]
+        ws = [g[1] for g in geometries]
+        bound = _worst_case_total(
+            layers, vsa_nodes, min(hs), max(hs), min(ws), max(ws)
+        ) + sum(d.t_in + d.t_out for d in (*nn_demand, *vsa_demand))
+        if bound >= _INT64_HEADROOM:
+            if len(geometries) > 1:
+                return [
+                    score
+                    for g in geometries
+                    for score in self.score_geometries([g], layers, vsa_nodes)
+                ]
+            return [EvaluationBackend.score_geometry(
+                self, *geometries[0], layers, vsa_nodes
+            )]
+
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=np.int64)
+
+        dims = (
+            column([d.m for d in layers])[None, :],
+            column([d.n for d in layers])[None, :],
+            column([d.k for d in layers])[None, :],
+            column([d.n for d in vsa_nodes])[None, :],
+            column([d.d for d in vsa_nodes])[None, :],
+        )
+        nn_in = column([d.t_in for d in nn_demand])
+        nn_out = column([d.t_out for d in nn_demand])
+        vsa_in = column([d.t_in for d in vsa_demand])
+        vsa_out = column([d.t_out for d in vsa_demand])
+        per_pass = max(1, _PASS_CELLS // (len(layers) + len(vsa_nodes) + 1))
+
+        def row_totals(h, w, nl, nv, sequential: bool) -> np.ndarray:
+            totals = np.empty(len(h), dtype=np.int64)
+            for lo in range(0, len(h), per_pass):
+                rows = slice(lo, lo + per_pass)
+                nn, vsa = _row_durations(
+                    h[rows, None], w[rows, None],
+                    nl[rows, None], nv[rows, None], dims,
+                )
+                if sequential:
+                    # One unit runs NN then VSA on the whole array.
+                    streams = (
+                        (np.hstack([nn, vsa]),
+                         np.concatenate([nn_in, vsa_in]),
+                         np.concatenate([nn_out, vsa_out])),
+                        (vsa[:, :0], vsa_in[:0], vsa_out[:0]),
+                    )
+                else:
+                    streams = ((nn, nn_in, nn_out), (vsa, vsa_in, vsa_out))
+                totals[rows] = _batched_timeline(*streams)
+            return totals
+
+        h, w, n_sub = (column(axis) for axis in zip(*geometries))
+        t_seq = row_totals(h, w, n_sub, n_sub, sequential=True)
+        if not vsa_nodes:
+            # No VSA nodes: "parallel" degenerates to whole-array NN.
+            return [
+                GeometryScore(
+                    t_sequential=int(t), t_parallel=int(t),
+                    nl_bar=int(n), nv_bar=0, evaluated=1, probes=1,
+                )
+                for t, n in zip(t_seq, n_sub)
+            ]
+        if int(n_sub.min()) < 2:
+            raise ConfigError(
+                f"partition search needs n_sub >= 2, got {int(n_sub.min())}"
+            )
+        splits = n_sub - 1
+        nl = np.concatenate([np.arange(1, n, dtype=np.int64) for n in n_sub])
+        nv = np.repeat(n_sub, splits) - nl
+        t_par = row_totals(
+            np.repeat(h, splits), np.repeat(w, splits), nl, nv, sequential=False
+        )
+        scores = []
+        offset = 0
+        for t, n in zip(t_seq, n_sub):
+            rows = t_par[offset:offset + n - 1]
+            best = int(rows.argmin())          # first occurrence wins
+            offset += n - 1
+            scores.append(GeometryScore(
+                t_sequential=int(t), t_parallel=int(rows[best]),
+                nl_bar=best + 1, nv_bar=int(n) - best - 1,
+                evaluated=int(n), probes=int(n),
+            ))
+        return scores
 
     def evaluate_design(
         self, h, w, n_sub, mode, nl, nv, layers, vsa_nodes,
@@ -814,10 +1051,9 @@ class ScheduleBackend(EvaluationBackend):
         sequential = mode == "sequential"
         nl = _sequential_allocs(n_sub, len(layers)) if sequential else list(nl)
         nv = _sequential_allocs(n_sub, len(vsa_nodes)) if sequential else list(nv)
-        nn, vsa = self._streams(
-            h, w, nl, nv, layers, vsa_nodes, layer_names, vsa_names
-        )
-        streams = [list(nn) + list(vsa)] if sequential else [nn, vsa]
+        demand = self._demand(layers, vsa_nodes, layer_names, vsa_names)
+        nn, vsa = self._streams(h, w, nl, nv, layers, vsa_nodes, demand)
+        streams = [nn + vsa] if sequential else [nn, vsa]
         breakdown, node_cycles = self._timeline(streams, mem_c_bytes)
         return DesignEvaluation(
             backend=self.info, breakdown=breakdown, node_cycles=node_cycles

@@ -72,7 +72,9 @@ _INT64_HEADROOM = 1 << 62
 
 
 def _worst_case_total(
-    arrays: "WorkloadArrays", h_lo: int, h_hi: int, w_lo: int, w_hi: int
+    layers: Sequence[GemmDims],
+    vsa_nodes: Sequence[VsaDims],
+    h_lo: int, h_hi: int, w_lo: int, w_hi: int,
 ) -> int:
     """Exact Python-int upper bound on every kernel value for a domain.
 
@@ -86,10 +88,10 @@ def _worst_case_total(
     cd = lambda a, b: -(-a // b)  # noqa: E731 - exact Python-int ceil
     worst_nn = sum(
         (2 * h_hi + w_hi + g.m - 2) * cd(g.n, h_lo) * cd(g.k, w_lo)
-        for g in arrays.layers
+        for g in layers
     )
     worst_vsa = 0
-    for v in arrays.vsa_nodes:
+    for v in vsa_nodes:
         t_hi = 3 * h_hi + v.d - 1
         spatial = v.n * cd(v.d, w_lo * h_lo) * t_hi
         temporal = cd(v.n, w_lo) * cd(v.d, h_lo) * t_hi
@@ -119,7 +121,9 @@ def fits_int64_domain(
         if a <= h_lo and h_hi <= b and c <= w_lo and w_hi <= d:
             arrays._headroom_ok.add(key)
             return True
-    if _worst_case_total(arrays, h_lo, h_hi, w_lo, w_hi) >= _INT64_HEADROOM:
+    if _worst_case_total(
+        arrays.layers, arrays.vsa_nodes, h_lo, h_hi, w_lo, w_hi
+    ) >= _INT64_HEADROOM:
         return False
     arrays._headroom_ok.add(key)
     return True
@@ -131,7 +135,9 @@ def _check_int64_headroom(
     """Raise :class:`ConfigError` instead of letting NumPy wrap silently —
     the scalar models handle arbitrary magnitudes."""
     if not fits_int64_domain(arrays, h_lo, h_hi, w_lo, w_hi):
-        worst = _worst_case_total(arrays, h_lo, h_hi, w_lo, w_hi)
+        worst = _worst_case_total(
+            arrays.layers, arrays.vsa_nodes, h_lo, h_hi, w_lo, w_hi
+        )
         raise ConfigError(
             "workload dimensions too large for the batched int64 runtime "
             f"kernels (worst-case cycle count {worst:.3e} exceeds the "

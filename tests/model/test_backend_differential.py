@@ -15,6 +15,12 @@ the same design points. On every generated workload:
 * the analytic backend reports zero DRAM (compute-only model) and both
   backends agree on the node-cycles arity.
 
+It also proves the batched schedule-backend Phase I
+(``ScheduleBackend.score_geometries``) equal, field for field, to the
+base-class scalar scan ``EvaluationBackend.score_geometry`` — the
+single scalar reference — across DRAM models that flip unit order and
+hit ``unit_free`` ties, precision byte scalings, and the int64 fallback.
+
 The tier-1 class runs a quick pass; the ``slow``-marked class fuzzes
 200+ generated workloads per invariant family for the CI deep job.
 """
@@ -22,10 +28,20 @@ The tier-1 class runs a quick pass; the ``slow``-marked class fuzzes
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.arch.dram import DramModel
 from repro.dse.engine import DseEngine
 from repro.dse.phase1 import extract_cost_dims
 from repro.graph.build import build_dataflow_graph
-from repro.model.backend import AnalyticBackend, ScheduleBackend
+from repro.model import backend as backend_module
+from repro.model.backend import (
+    AnalyticBackend,
+    EvaluationBackend,
+    ScheduleBackend,
+)
+from repro.model.batch import _INT64_HEADROOM, _worst_case_total
+from repro.nn.gemm import GemmDims
+from repro.quant import MIXED_PRECISION_PRESETS
+from repro.trace.opnode import VsaDims
 from repro.workloads.synth import SynthConfig, SynthWorkload
 
 #: Keep generated families small: the invariants are scale-free, and
@@ -202,3 +218,137 @@ class TestLowerBoundAdmissibilityDeep:
               suppress_health_check=[HealthCheck.too_slow])
     def test_screen_batches_admissible_deep(self, config, max_pes):
         assert_screen_batches_admissible(config, max_pes)
+
+
+# -- batched schedule Phase I vs the scalar oracle ---------------------------
+
+#: DRAM models that move rows between compute- and DRAM-bound: a
+#: starved channel makes transfers dominate (flipping which unit frees
+#: first), and zero burst latency makes equal-size transfers land on
+#: equal cycles (``unit_free`` ties, resolved to NN).
+dram_models = st.sampled_from([
+    DramModel(),
+    DramModel(bandwidth_gb_s=0.05),
+    DramModel(burst_latency_cycles=0),
+    DramModel(bandwidth_gb_s=0.05, burst_latency_cycles=0),
+])
+
+precisions = st.sampled_from(["INT4", "INT8", "FP16", "MP"])
+
+schedule_backends = st.builds(
+    lambda p, dram: ScheduleBackend.from_precision(
+        MIXED_PRECISION_PRESETS[p], dram=dram
+    ),
+    precisions, dram_models,
+)
+
+#: Work units mixing tiny and large ``n_sub`` (``n_sub = 2`` has a
+#: single split; large ``n_sub`` gives long per-geometry segments).
+geometry_units = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2, 4, 8, 16, 32]),
+        st.sampled_from([1, 2, 4, 8, 16, 32]),
+        st.one_of(st.integers(2, 9), st.sampled_from([64, 127, 256])),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def assert_batched_matches_oracle(backend, geoms, layers, vsa) -> None:
+    """Batched unit == per-geometry call == base-class scalar scan."""
+    oracle = [
+        EvaluationBackend.score_geometry(backend, h, w, n, layers, vsa)
+        for h, w, n in geoms
+    ]
+    assert backend.score_geometries(geoms, layers, vsa) == oracle
+    assert [
+        backend.score_geometry(h, w, n, layers, vsa) for h, w, n in geoms
+    ] == oracle
+
+
+class TestBatchedScheduleQuick:
+    """Tier-1: batched schedule scoring equals the scalar oracle."""
+
+    @given(synth_configs, geometry_units, schedule_backends)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_workloads(self, config, geoms, backend):
+        layers, vsa = workload_dims(config)
+        assert_batched_matches_oracle(backend, geoms, layers, vsa)
+
+    @pytest.mark.parametrize("max_pes", [64, 1024])
+    def test_engine_candidate_stream(self, max_pes):
+        """The exact unit shape the engine ships: its whole candidate list."""
+        config = SynthConfig(seed=11, n_ops=10, symbolic_ratio=0.5)
+        layers, vsa = workload_dims(config)
+        geoms = [
+            (c.h, c.w, c.n_sub)
+            for c in DseEngine(max_pes=max_pes).iter_candidates()
+        ]
+        assert_batched_matches_oracle(ScheduleBackend(), geoms, layers, vsa)
+
+    def test_no_layers(self):
+        vsa = (VsaDims(n=8, d=256), VsaDims(n=3, d=64))
+        assert_batched_matches_oracle(
+            ScheduleBackend(), [(4, 4, 2), (8, 2, 7)], (), vsa
+        )
+
+    def test_no_vsa_nodes(self):
+        layers = (GemmDims(32, 64, 16), GemmDims(7, 9, 300))
+        assert_batched_matches_oracle(
+            ScheduleBackend(), [(4, 4, 2), (8, 2, 7)], layers, ()
+        )
+
+    def test_giant_dims_take_the_scalar_fallback(self, monkeypatch):
+        """Values past the int64 guard never reach the NumPy timeline."""
+        layers = (GemmDims(m=3, n=1 << 40, k=1 << 40),)
+        vsa = (VsaDims(n=4, d=64),)
+        assert _worst_case_total(layers, vsa, 4, 4, 4, 4) >= _INT64_HEADROOM
+
+        def unreachable(*args):
+            raise AssertionError("batched timeline ran past the int64 guard")
+
+        monkeypatch.setattr(backend_module, "_batched_timeline", unreachable)
+        assert_batched_matches_oracle(
+            ScheduleBackend(), [(4, 4, 3), (8, 8, 2)], layers, vsa
+        )
+
+    def test_mixed_unit_splits_at_the_int64_guard(self, monkeypatch):
+        """A unit whose box overflows re-checks each geometry alone:
+        the geometry that fits stays batched, the other goes scalar."""
+        layers = (GemmDims(m=3, n=1 << 32, k=1 << 31),)
+        vsa = (VsaDims(n=4, d=64),)
+        assert _worst_case_total(layers, vsa, 4, 64, 4, 64) >= _INT64_HEADROOM
+        assert _worst_case_total(layers, vsa, 4, 4, 4, 4) >= _INT64_HEADROOM
+        assert _worst_case_total(layers, vsa, 64, 64, 64, 64) < (
+            _INT64_HEADROOM // 2
+        )
+        batched_rows = []
+        timeline = backend_module._batched_timeline
+
+        def spy(unit0, unit1):
+            batched_rows.append(unit0[0].shape[0])
+            return timeline(unit0, unit1)
+
+        monkeypatch.setattr(backend_module, "_batched_timeline", spy)
+        backend = ScheduleBackend()
+        assert backend.score_geometries(
+            [(4, 4, 3), (64, 64, 2)], layers, vsa
+        ) == [
+            EvaluationBackend.score_geometry(backend, 4, 4, 3, layers, vsa),
+            EvaluationBackend.score_geometry(backend, 64, 64, 2, layers, vsa),
+        ]
+        # (64, 64, 2) alone: one sequential row, then its one split.
+        assert batched_rows == [1, 1]
+
+
+@pytest.mark.slow
+class TestBatchedScheduleDeep:
+    """CI deep job: 200+ generated workloads against the scalar oracle."""
+
+    @given(synth_configs, geometry_units, schedule_backends)
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_generated_workloads_deep(self, config, geoms, backend):
+        layers, vsa = workload_dims(config)
+        assert_batched_matches_oracle(backend, geoms, layers, vsa)
