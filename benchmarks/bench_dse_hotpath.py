@@ -2,11 +2,15 @@
 """DSE hot-path benchmark: partition-search strategies head to head.
 
 Times cold- and warm-cache :meth:`repro.dse.engine.DseEngine.explore`
-plus a small scenario-sweep grid for every ``partition_search`` mode
-(``dense`` — the reference serial scalar scan, ``bisect`` — the
-monotone crossing-point search over the batched NumPy kernels, and
-``auto``), verifies that every mode produces a byte-identical
-:class:`~repro.dse.engine.DseReport`, and writes the whole result set to
+under three analytic backends that differ only in how Phase I searches
+each geometry's static splits — ``dense`` (an oracle pricing through
+the base-class scalar scan), ``bisect`` (an oracle running the monotone
+crossing-point search over the batched NumPy kernels at every ``N``)
+and ``auto`` (the production :class:`~repro.model.backend.
+AnalyticBackend`: vectorized dense at small ``N``, bisection above) —
+verifies that all three produce a byte-identical
+:class:`~repro.dse.engine.DseReport`, times a small scenario-sweep grid
+on the production path, and writes the whole result set to
 ``BENCH_dse_hotpath.json`` (repo root) — the seed of the repo's bench
 trajectory for this hot path.
 
@@ -28,14 +32,15 @@ equal model-probe counts.
 
 ``--check-only`` runs the equivalence contract at a small budget and
 skips the timing sweep — CI's perf-smoke job uses it to guard the
-*results* contract (bisect ≡ dense, batched schedule ≡ scalar schedule,
-bit for bit) without depending on runner wall-clock. Exit status 1 on
-any mismatch.
+*results* contract (production analytic ≡ both oracles, batched
+schedule ≡ scalar schedule, bit for bit) without depending on runner
+wall-clock. Exit status 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import pickle
@@ -46,7 +51,7 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.dse.engine import PARTITION_SEARCH_MODES, DseEngine  # noqa: E402
+from repro.dse.engine import DseEngine  # noqa: E402
 from repro.dse.timing import (  # noqa: E402
     clear_stage_timings,
     stage_timings,
@@ -54,10 +59,15 @@ from repro.dse.timing import (  # noqa: E402
 from repro.flow.sweep import ScenarioGrid, run_sweep  # noqa: E402
 from repro.graph import build_dataflow_graph  # noqa: E402
 from repro.model.backend import (  # noqa: E402
+    AnalyticBackend,
     EvaluationBackend,
     ScheduleBackend,
 )
-from repro.model.cache import clear_model_caches  # noqa: E402
+from repro.model.batch import bisect_uniform_partition  # noqa: E402
+from repro.model.cache import (  # noqa: E402
+    cached_workload_arrays,
+    clear_model_caches,
+)
 from repro.quant import MIXED_PRECISION_PRESETS  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 
@@ -65,10 +75,42 @@ DEFAULT_WORKLOADS = ("nvsa", "mimonet")
 SWEEP_WORKLOADS = ("prae", "mimonet")
 
 
+class ScalarAnalyticOracle(AnalyticBackend):
+    """The analytic backend priced through the base-class scalar scan."""
+
+    score_geometry = EvaluationBackend.score_geometry
+    score_geometries = EvaluationBackend.score_geometries
+
+
+class BisectAnalyticOracle(AnalyticBackend):
+    """The analytic backend bisecting at every ``N``, not only large ones."""
+
+    def score_geometry(self, h, w, n_sub, layers, vsa_nodes, **_):
+        score = super().score_geometry(h, w, n_sub, layers, vsa_nodes)
+        if not vsa_nodes:
+            return score
+        found = bisect_uniform_partition(
+            h, w, n_sub, cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
+        )
+        return dataclasses.replace(
+            score, t_parallel=found.t_parallel, nl_bar=found.nl_bar,
+            nv_bar=found.nv_bar, probes=found.probes + 1,
+        )
+
+
+#: Phase I partition-search strategies, each an analytic backend with the
+#: production ``name``/``version`` (so reports must match byte for byte).
+STRATEGIES = {
+    "dense": ScalarAnalyticOracle,
+    "bisect": BisectAnalyticOracle,
+    "auto": AnalyticBackend,
+}
+
+
 def _explore_once(graph, max_pes: int, mode: str):
     """One timed exploration; returns (report, seconds, stage stats)."""
     clear_stage_timings()
-    engine = DseEngine(max_pes=max_pes, partition_search=mode)
+    engine = DseEngine(max_pes=max_pes, backend=STRATEGIES[mode]())
     t0 = time.perf_counter()
     report = engine.explore(graph)
     elapsed = time.perf_counter() - t0
@@ -90,7 +132,7 @@ def bench_workload(name: str, max_pes: int) -> tuple[dict, dict]:
         "modes": {},
     }
     reports = {}
-    for mode in PARTITION_SEARCH_MODES:
+    for mode in STRATEGIES:
         clear_model_caches()
         report, cold_s, cold_stages = _explore_once(graph, max_pes, mode)
         _, warm_s, _ = _explore_once(graph, max_pes, mode)
@@ -116,30 +158,27 @@ def bench_workload(name: str, max_pes: int) -> tuple[dict, dict]:
 
 
 def bench_sweep_grid(max_pes: int) -> dict:
-    """A small scenario grid end to end, once per search mode."""
+    """A small scenario grid end to end on the production path."""
     grid = ScenarioGrid(workloads=SWEEP_WORKLOADS, max_pes=(max_pes,))
-    out: dict = {"workloads": list(SWEEP_WORKLOADS), "max_pes": max_pes,
-                 "modes": {}}
-    for mode in PARTITION_SEARCH_MODES:
-        clear_model_caches()
-        result = run_sweep(grid, partition_search=mode)
-        assert result.n_errors == 0, (
-            f"sweep errors under partition_search={mode}: "
-            f"{[o.error for o in result.outcomes if not o.ok]}"
-        )
-        out["modes"][mode] = {
-            "elapsed_s": result.elapsed_s,
-            "scenarios": result.n_scenarios,
-            "stage_timings": {
-                name: {"seconds": s.seconds, "items": s.items}
-                for name, s in result.stage_timings.items()
-            },
-        }
-    return out
+    clear_model_caches()
+    result = run_sweep(grid)
+    assert result.n_errors == 0, (
+        f"sweep errors: {[o.error for o in result.outcomes if not o.ok]}"
+    )
+    return {
+        "workloads": list(SWEEP_WORKLOADS),
+        "max_pes": max_pes,
+        "elapsed_s": result.elapsed_s,
+        "scenarios": result.n_scenarios,
+        "stage_timings": {
+            name: {"seconds": s.seconds, "items": s.items}
+            for name, s in result.stage_timings.items()
+        },
+    }
 
 
 def check_equivalence(reports: dict[str, object], context: str) -> list[str]:
-    """Byte-level report identity across modes; returns mismatch notes."""
+    """Byte-level report identity across strategies; returns mismatch notes."""
     failures = []
     baseline = pickle.dumps(reports["dense"])
     for mode in ("bisect", "auto"):
@@ -196,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="result JSON path "
                              "(default: repo-root BENCH_dse_hotpath.json)")
     parser.add_argument("--check-only", action="store_true",
-                        help="verify cross-mode equivalence and exit; "
+                        help="verify cross-strategy equivalence and exit; "
                              "skip the timing grid and the JSON write")
     args = parser.parse_args(argv)
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
@@ -220,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"EQUIVALENCE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(f"equivalence: all {len(workloads)} workloads byte-identical "
-          "across partition_search modes and batched/scalar schedule "
+          "across partition-search strategies and batched/scalar schedule "
           "pricing")
     if args.check_only:
         return 0

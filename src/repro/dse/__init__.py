@@ -9,7 +9,9 @@ shifting sub-arrays between each layer and the VSA nodes that overlap it.
 :class:`DseEngine` is the batched/parallel/cached implementation of the
 sweep: a lazy candidate stream, chunked process-pool evaluation
 (``jobs``), memoized model sub-evaluations, and a full Pareto frontier
-(latency × area × energy proxy) on ``DseReport.pareto``.
+(latency × area × energy proxy) on ``DseReport.pareto``. Phase I has one
+search path: every candidate geometry is priced by the engine's cost
+backend (exhaustive search).
 :class:`TwoPhaseDSE` remains as the original single-winner facade.
 """
 
@@ -27,8 +29,6 @@ from .config import DesignConfig, ExecutionMode, design_config_from_json, design
 from .phase1 import Phase1Result, run_phase1
 from .phase2 import Phase2Result, run_phase2
 from .engine import (
-    PARTITION_SEARCH_MODES,
-    SEARCH_MODES,
     DseEngine,
     DsePool,
     DseReport,
@@ -39,11 +39,6 @@ from .engine import (
     pareto_filter,
 )
 from .explorer import TwoPhaseDSE
-from .multifidelity import (
-    MultiFidelityOutcome,
-    PrunedCandidate,
-    multifidelity_evaluate,
-)
 from .timing import (
     StageStat,
     clear_stage_timings,
@@ -78,11 +73,6 @@ __all__ = [
     "ParetoFrontier",
     "ParetoPoint",
     "pareto_filter",
-    "PARTITION_SEARCH_MODES",
-    "SEARCH_MODES",
-    "MultiFidelityOutcome",
-    "PrunedCandidate",
-    "multifidelity_evaluate",
     "StageStat",
     "stage_timings",
     "stage_timings_since",

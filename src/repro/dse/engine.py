@@ -14,11 +14,10 @@ two-phase co-exploration of paper Algorithm 1, restructured as
 3. **a pluggable cost-model seam** — every design point is priced
    through an :class:`repro.model.backend.EvaluationBackend`. The
    default :class:`~repro.model.backend.AnalyticBackend` carries the
-   batched kernels and the monotone partition bisection
-   (``partition_search``; the dense scalar scan remains as the
-   reference mode, and all modes return bit-identical results), while
-   ``backend="schedule"`` re-ranks designs by memory-aware end-to-end
-   time;
+   batched kernels and the monotone partition bisection (bit-identical
+   to the base-class scalar scan, which remains as the test oracle),
+   while ``backend="schedule"`` re-ranks designs by memory-aware
+   end-to-end time;
 4. **memoized sub-models** — memory plan and SIMD width go through the
    keyed caches in :mod:`repro.model.cache`; layer/VSA latencies hit the
    ``lru_cache``-backed models of :mod:`repro.model.runtime`;
@@ -74,11 +73,6 @@ from ..trace.opnode import VsaDims
 from ..utils import is_power_of_two, log2_int
 from .accuracy import AccuracyResult
 from .config import DesignConfig, ExecutionMode
-from .multifidelity import (
-    SEARCH_MODES,
-    MultiFidelityOutcome,
-    multifidelity_evaluate,
-)
 from .phase1 import Phase1Result, extract_cost_dims
 from .phase2 import Phase2Result, run_phase2
 from .timing import record_stage, time_stage
@@ -101,8 +95,6 @@ __all__ = [
     "DEFAULT_CLOCK_MHZ",
     "DEFAULT_RANGE_H",
     "DEFAULT_RANGE_W",
-    "PARTITION_SEARCH_MODES",
-    "SEARCH_MODES",
     "EVALUATION_BACKENDS",
     "AUTO_DENSE_MAX_N",
 ]
@@ -115,14 +107,6 @@ __all__ = [
 DEFAULT_CLOCK_MHZ = 272.0
 DEFAULT_RANGE_H: tuple[int, int] = (4, 256)
 DEFAULT_RANGE_W: tuple[int, int] = (4, 256)
-
-#: Static-partition search strategies for the Phase I inner loop.
-#: ``dense`` is the reference serial scan through the scalar models;
-#: ``bisect`` replaces it with the monotone crossing-point search over
-#: the batched NumPy kernels; ``auto`` (the default) picks per geometry.
-#: All three return bit-identical ``(t_parallel, N̄l, N̄v)`` triples —
-#: the knob trades wall-clock, never results.
-PARTITION_SEARCH_MODES: tuple[str, ...] = ("auto", "bisect", "dense")
 
 
 def _auto_chunksize(n_items: int, jobs: int) -> int:
@@ -428,9 +412,9 @@ class GeometryEval:
 
     ``evaluated`` counts the *logical* candidate design points this
     geometry covers (one sequential schedule plus every static split) —
-    it is identical for every ``partition_search`` strategy, so the
-    report counters stay byte-identical across modes. ``probes`` counts
-    the candidate points actually priced, in the same units:
+    it is independent of how the backend searches the splits, so the
+    report counters match the scalar reference scan's. ``probes``
+    counts the candidate points actually priced, in the same units:
     ``evaluated`` for the dense scans, ``O(log N)`` for the bisection.
     """
 
@@ -645,35 +629,13 @@ def _eval_from_score(cand: GeometryCandidate, score: GeometryScore) -> GeometryE
     )
 
 
-def _evaluate_geometry(
-    cand: GeometryCandidate,
-    layers: tuple[GemmDims, ...],
-    vsa_nodes: tuple[VsaDims, ...],
-    search: str = "dense",
-    backend: EvaluationBackend | None = None,
-) -> GeometryEval:
-    """Score one geometry through the cost-model seam.
-
-    The default backend is the analytic one, whose ``dense`` path is
-    the historical serial Phase I sweep bit for bit; the batched
-    strategies (``bisect``, ``auto``) return the identical triple. The
-    cross-geometry merge happens in :meth:`DseEngine.evaluate`.
-    """
-    backend = backend or _ANALYTIC_BACKEND
-    score = backend.score_geometry(
-        cand.h, cand.w, cand.n_sub, layers, vsa_nodes, search
-    )
-    return _eval_from_score(cand, score)
-
-
 def _evaluate_candidates(
     candidates: Sequence[GeometryCandidate],
     layers: tuple[GemmDims, ...],
     vsa_nodes: tuple[VsaDims, ...],
-    search: str = "dense",
     backend: EvaluationBackend | None = None,
 ) -> list[GeometryEval]:
-    """Score a batch of geometries under one search strategy.
+    """Score a batch of geometries through the cost-model seam.
 
     The analytic backend pre-evaluates every geometry's sequential
     runtime in a single NumPy pass over the whole batch before running
@@ -683,7 +645,7 @@ def _evaluate_candidates(
     faultpoint("dse.evaluate")
     backend = backend or _ANALYTIC_BACKEND
     scores = backend.score_geometries(
-        [(c.h, c.w, c.n_sub) for c in candidates], layers, vsa_nodes, search
+        [(c.h, c.w, c.n_sub) for c in candidates], layers, vsa_nodes
     )
     return [_eval_from_score(c, s) for c, s in zip(candidates, scores)]
 
@@ -692,14 +654,13 @@ def _evaluate_chunk(
     chunk: tuple[GeometryCandidate, ...],
     layers: tuple[GemmDims, ...],
     vsa_nodes: tuple[VsaDims, ...],
-    search: str = "dense",
     backend: EvaluationBackend | None = None,
 ) -> list[GeometryEval]:
     """Process-pool work unit: score a batch of geometries."""
     # Worker-entry failpoint: the canonical site for ``kill`` faults,
     # hit inside the pool worker process (not the coordinator).
     faultpoint("dse.worker")
-    return _evaluate_candidates(chunk, layers, vsa_nodes, search, backend)
+    return _evaluate_candidates(chunk, layers, vsa_nodes, backend)
 
 
 class DseEngine:
@@ -733,41 +694,14 @@ class DseEngine:
         executor. The pool's ``jobs`` budget overrides the ``jobs``
         argument, so every engine sharing the pool also shares one
         worker-count policy. The engine never closes a caller's pool.
-    partition_search:
-        Phase I inner-loop strategy — ``"auto"`` (default), ``"bisect"``
-        or ``"dense"``. ``dense`` is the reference serial scan through
-        the scalar models; ``bisect`` replaces it with the monotone
-        crossing-point search over the batched NumPy kernels; ``auto``
-        picks per geometry (vectorized dense below
-        :data:`AUTO_DENSE_MAX_N` sub-arrays, bisection above). Reports
-        are **bit-identical across all three** — the knob only trades
-        wall-clock (see DESIGN.md "Batched models & partition
-        bisection").
     backend:
         The cost model every design point is priced with: a registry
         name (``"analytic"`` — the default, the paper's Eqs. 1-5 — or
         ``"schedule"`` — the memory-aware event-driven timeline), or an
         :class:`~repro.model.backend.EvaluationBackend` instance.
-        Unlike ``jobs``/``partition_search`` this knob **changes
-        results**, so it joins the artifact-cache key and is stamped
-        into every report (see DESIGN.md "Evaluation backends").
-    search:
-        Phase I sweep mode — ``"exhaustive"`` (default) prices every
-        candidate with ``backend``; ``"multifidelity"`` screens the
-        candidate stream through the analytic lower bound first and
-        prices only candidates the bound cannot rule out
-        (:mod:`repro.dse.multifidelity`). Like ``partition_search``,
-        reports are **byte-identical across both modes** — the knob
-        only trades wall-clock, so it stays out of the artifact-cache
-        key. Pruned/priced counts accrue to the ``phase1.mf_*`` stages
-        of :mod:`repro.dse.timing`.
-    mf_slack:
-        Safety margin for ``search="multifidelity"``: a candidate is
-        pruned only when the incumbent still dominates its lower bound
-        after being inflated by ``(1 + mf_slack)``. ``0`` (default) is
-        the exact admissible rule; larger values price more
-        near-boundary candidates (pruning is monotone non-increasing in
-        slack) without ever changing results.
+        Unlike ``jobs`` this knob **changes results**, so it joins the
+        artifact-cache key and is stamped into every report (see
+        DESIGN.md "Evaluation backends").
     """
 
     def __init__(
@@ -784,10 +718,7 @@ class DseEngine:
         aspect_min: float = 0.25,
         aspect_max: float = 16.0,
         pool: DsePool | None = None,
-        partition_search: str = "auto",
         backend: str | EvaluationBackend = "analytic",
-        search: str = "exhaustive",
-        mf_slack: float = 0.0,
         accuracy: AccuracyResult | None = None,
     ):
         if not is_power_of_two(max_pes):
@@ -802,19 +733,6 @@ class DseEngine:
             pareto_k = None
         if pareto_k is not None and pareto_k < 1:
             raise DSEError(f"pareto_k must be >= 0, got {pareto_k}")
-        if partition_search not in PARTITION_SEARCH_MODES:
-            raise DSEError(
-                f"partition_search must be one of "
-                f"{', '.join(PARTITION_SEARCH_MODES)}, "
-                f"got {partition_search!r}"
-            )
-        if search not in SEARCH_MODES:
-            raise DSEError(
-                f"search must be one of {', '.join(SEARCH_MODES)}, "
-                f"got {search!r}"
-            )
-        if mf_slack < 0:
-            raise DSEError(f"mf_slack must be >= 0, got {mf_slack}")
         self.max_pes = max_pes
         self.precision = precision or MIXED_PRECISION_PRESETS["MP"]
         if isinstance(backend, str):
@@ -837,9 +755,6 @@ class DseEngine:
         self.aspect_min = aspect_min
         self.aspect_max = aspect_max
         self.pool = pool
-        self.partition_search = partition_search
-        self.search = search
-        self.mf_slack = mf_slack
         #: Pre-computed functional accuracy of the workload being explored
         #: (the engine only sees the graph, so the caller — NSFlow —
         #: evaluates and injects it). Stamped onto every frontier point.
@@ -891,11 +806,10 @@ class DseEngine:
     def evaluate(self, graph: DataflowGraph) -> list[GeometryEval]:
         """Score every candidate geometry, serially or in a process pool.
 
-        The returned list is in candidate order independent of ``jobs``,
-        chunking, and ``partition_search``: pool results are re-sorted
-        by candidate index before returning, and every search strategy
-        returns the identical scores. Wall-clock and probe counts accrue
-        to the ``phase1.*`` stages of :mod:`repro.dse.timing`.
+        The returned list is in candidate order independent of ``jobs``
+        and chunking: pool results are re-sorted by candidate index
+        before returning. Wall-clock and probe counts accrue to the
+        ``phase1.*`` stages of :mod:`repro.dse.timing`.
         """
         layer_list, vsa_list = extract_cost_dims(graph)
         layers = tuple(layer_list)
@@ -909,13 +823,12 @@ class DseEngine:
         t0 = time.perf_counter()
         if self.jobs == 1:
             evals = _evaluate_candidates(
-                candidates, layers, vsa_nodes, self.partition_search,
-                self.backend,
+                candidates, layers, vsa_nodes, self.backend
             )
         else:
             work = functools.partial(
                 _evaluate_chunk, layers=layers, vsa_nodes=vsa_nodes,
-                search=self.partition_search, backend=self.backend,
+                backend=self.backend,
             )
             chunks = self._make_chunks(candidates)
             if self.pool is not None:
@@ -939,71 +852,18 @@ class DseEngine:
         record_stage(
             "phase1.model_probes", items=sum(ev.probes for ev in evals)
         )
-        record_stage(
-            f"phase1.search_{self.partition_search}", items=len(evals)
-        )
         return evals
 
-    def _evaluate_multifidelity(
-        self, graph: DataflowGraph
-    ) -> tuple[list[GeometryEval], MultiFidelityOutcome]:
-        """Analytic lower-bound screen, then price only the survivors.
-
-        The returned evals are the exhaustive sweep's scores for exactly
-        the priced candidates (bit for bit); the outcome carries the
-        pruned candidates' lower bounds and logical-evaluation counts so
-        the report's accounting stays byte-identical to exhaustive
-        search. Pricing streams in candidate order in-process — the
-        incumbent frontier is inherently sequential — so ``jobs`` does
-        not fan this path out (the screen itself is one batched pass).
-        """
-        layer_list, vsa_list = extract_cost_dims(graph)
-        layers = tuple(layer_list)
-        vsa_nodes = tuple(vsa_list)
-        candidates = list(self.iter_candidates())
-        if not candidates:
-            raise DSEError(
-                f"no feasible geometry for max_pes={self.max_pes} within "
-                f"H range {self.range_h}, W range {self.range_w}"
-            )
-        t0 = time.perf_counter()
-        outcome = multifidelity_evaluate(
-            candidates, layers, vsa_nodes, self.backend,
-            partition_search=self.partition_search, slack=self.mf_slack,
-        )
-        evals = outcome.evals
-        record_stage(
-            "phase1.sweep", time.perf_counter() - t0, items=len(evals)
-        )
-        record_stage(
-            "phase1.model_probes",
-            items=sum(ev.probes for ev in evals) + outcome.screen_probes,
-        )
-        record_stage(
-            f"phase1.search_{self.partition_search}", items=len(evals)
-        )
-        record_stage("phase1.mf_screened", items=outcome.screened)
-        record_stage("phase1.mf_priced", items=outcome.priced)
-        record_stage("phase1.mf_pruned", items=len(outcome.pruned))
-        return evals, outcome
-
     @staticmethod
-    def _reduce_phase1(
-        evals: Sequence[GeometryEval], extra_evaluated: int = 0
-    ) -> Phase1Result:
+    def _reduce_phase1(evals: Sequence[GeometryEval]) -> Phase1Result:
         """Merge per-geometry winners into the serial sweep's Phase I result.
 
         Strict-``<`` updates in candidate order reproduce the serial
         first-wins semantics exactly (DESIGN.md "Parallel determinism").
-        ``extra_evaluated`` accounts the logical design points of
-        candidates the multi-fidelity screen pruned without pricing, so
-        ``candidates_evaluated`` stays byte-identical across search
-        modes (pruned candidates can never be either winner — that is
-        the pruning rule's admissibility guarantee).
         """
         best_para: GeometryEval | None = None
         best_seq: GeometryEval | None = None
-        evaluated = extra_evaluated
+        evaluated = 0
         for ev in sorted(evals, key=lambda e: e.index):
             evaluated += ev.evaluated
             if best_seq is None or ev.t_sequential < best_seq.t_sequential:
@@ -1025,18 +885,8 @@ class DseEngine:
             candidates_evaluated=evaluated,
         )
 
-    def _frontier(
-        self, evals: Sequence[GeometryEval], extra_dominated: int = 0
-    ) -> ParetoFrontier:
-        """Assemble the frontier; ``extra_dominated`` counts pruned candidates.
-
-        A candidate the multi-fidelity screen pruned is *provably*
-        dominated, and dominated points never change which other points
-        survive :func:`pareto_filter` — so the frontier's point set is
-        unchanged and the pruned candidates only join the ``dominated``
-        (and ``geometries_evaluated``) accounting, keeping the report
-        byte-identical to exhaustive search.
-        """
+    def _frontier(self, evals: Sequence[GeometryEval]) -> ParetoFrontier:
+        """Assemble the (optionally ``pareto_k``-truncated) frontier."""
         acc_value = self.accuracy.value if self.accuracy is not None else None
         points = []
         for ev in evals:
@@ -1060,9 +910,9 @@ class DseEngine:
             frontier = frontier[: self.pareto_k]
         return ParetoFrontier(
             points=tuple(frontier),
-            geometries_evaluated=len(evals) + extra_dominated,
+            geometries_evaluated=len(evals),
             non_dominated=non_dominated,
-            dominated=len(points) - non_dominated + extra_dominated,
+            dominated=len(points) - non_dominated,
         )
 
     # -- full exploration ------------------------------------------------------
@@ -1075,13 +925,8 @@ class DseEngine:
         advantage, so deciding the mode before refinement would be biased
         toward sequential (DESIGN.md "Interpretation notes").
         """
-        if self.search == "multifidelity":
-            evals, mf = self._evaluate_multifidelity(graph)
-        else:
-            evals, mf = self.evaluate(graph), None
-        phase1 = self._reduce_phase1(
-            evals, extra_evaluated=mf.pruned_evaluated if mf else 0
-        )
+        evals = self.evaluate(graph)
+        phase1 = self._reduce_phase1(evals)
         t0 = time.perf_counter()
         phase2 = run_phase2(graph, phase1, self.iter_max, backend=self.backend)
         record_stage(
@@ -1139,9 +984,7 @@ class DseEngine:
             },
         )
         with time_stage("pareto.filter", items=len(evals)):
-            pareto = self._frontier(
-                evals, extra_dominated=len(mf.pruned) if mf else 0
-            )
+            pareto = self._frontier(evals)
         return DseReport(
             config=config,
             phase1=phase1,

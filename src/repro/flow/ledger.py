@@ -173,6 +173,12 @@ class ClaimRecord:
     with new timestamps. A claim whose latest heartbeat is older than
     the lease timeout is *stale* — its owner is presumed dead and the
     scenario may be re-issued.
+
+    ``seen`` is how many bytes of the ledger the claimant had read when
+    it decided to claim (``None`` on heartbeats and older rows). Another
+    worker's ``ok`` result for the key that starts at or past that
+    offset landed unseen — the claimant lost a race to a finished
+    scenario — so it voids the claim (:meth:`RunLedger.open_claims`).
     """
 
     scenario_id: str
@@ -180,6 +186,7 @@ class ClaimRecord:
     worker: str
     ts: float
     shard: str | None = None
+    seen: int | None = None
 
     _REQUIRED = {
         "scenario_id": str,
@@ -193,6 +200,10 @@ class ClaimRecord:
         for name, types in cls._REQUIRED.items():
             if name not in doc or not isinstance(doc[name], types):
                 raise ValueError(f"claim row missing/invalid field {name!r}")
+        seen = doc.get("seen")
+        if seen is not None and (isinstance(seen, bool)
+                                 or not isinstance(seen, int)):
+            raise ValueError("claim row has non-integer seen")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in doc.items() if k in known and k != "kind"})
 
@@ -211,6 +222,17 @@ class ClaimDecision:
     owned: bool
     reissued: bool = False
     holder: str | None = None
+
+
+def _finished_unseen(
+    claim: ClaimRecord, last_ok: dict[str, tuple[int, str | None]]
+) -> bool:
+    """True when another worker's ``ok`` result for the claim's key
+    starts at or past ``claim.seen`` — it landed after the claimant
+    last looked, which voids the claim."""
+    ok_at, ok_worker = last_ok.get(claim.key, (-1, None))
+    return (claim.seen is not None and ok_at >= claim.seen
+            and ok_worker != claim.worker)
 
 
 def _parse_entry(doc: dict) -> LedgerRecord | ClaimRecord:
@@ -234,6 +256,9 @@ class RunLedger:
         #: Policy for transient append/fsync failures; ``None`` disables
         #: retries (every I/O error is immediately fatal).
         self.retry = retry
+        #: Bytes of the file this handle has read (or found on opening):
+        #: the caller's last look, which :meth:`acquire` stamps on claims.
+        self._seen = self.path.stat().st_size if self.exists() else 0
 
     def exists(self) -> bool:
         return self.path.is_file()
@@ -315,10 +340,18 @@ class RunLedger:
         edits — are skipped rather than fatal: the ledger is a recovery
         aid, and a skipped line merely re-prices one scenario.
         """
+        return [entry for _, entry in self._scan()]
+
+    def _scan(self) -> list[tuple[int, LedgerRecord | ClaimRecord]]:
+        """:meth:`entries` paired with each row's starting byte offset."""
         if not self.exists():
             return []
-        out: list[LedgerRecord | ClaimRecord] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        data = self.path.read_bytes()
+        self._seen = len(data)
+        out: list[tuple[int, LedgerRecord | ClaimRecord]] = []
+        end = 0
+        for line in data.decode("utf-8").splitlines(keepends=True):
+            start, end = end, end + len(line.encode("utf-8"))
             line = line.strip()
             if not line:
                 continue
@@ -326,7 +359,7 @@ class RunLedger:
                 doc = json.loads(line)
                 if not isinstance(doc, dict):
                     continue
-                out.append(_parse_entry(doc))
+                out.append((start, _parse_entry(doc)))
             except (ValueError, TypeError):
                 continue
         return out
@@ -353,16 +386,30 @@ class RunLedger:
 
         A result row (ok or error) closes every claim for its key that
         precedes it in the file; claims appended after the last result
-        start a fresh claim cycle. The returned lists preserve file
+        start a fresh claim cycle — except a claim whose claimant never
+        saw another worker's ``ok`` result for the key (one starting at
+        or past the claim's ``seen`` offset), which is void: re-pricing
+        a finished key is only legitimate for a worker that knew it was
+        done (its artifact vanished). The returned lists preserve file
         order — the arbitration order.
         """
+        return self._claim_state()[0]
+
+    def _claim_state(self) -> tuple[
+        dict[str, list[ClaimRecord]], dict[str, tuple[int, str | None]]
+    ]:
+        """:meth:`open_claims` plus each key's last ``ok`` (offset, worker)."""
         open_by_key: dict[str, list[ClaimRecord]] = {}
-        for entry in self.entries():
+        last_ok: dict[str, tuple[int, str | None]] = {}
+        for offset, entry in self._scan():
             if isinstance(entry, ClaimRecord):
-                open_by_key.setdefault(entry.key, []).append(entry)
-            elif entry.key in open_by_key:
-                del open_by_key[entry.key]
-        return open_by_key
+                if not _finished_unseen(entry, last_ok):
+                    open_by_key.setdefault(entry.key, []).append(entry)
+            else:
+                open_by_key.pop(entry.key, None)
+                if entry.status == "ok":
+                    last_ok[entry.key] = (offset, entry.worker)
+        return open_by_key, last_ok
 
     # -- coordination ----------------------------------------------------------
 
@@ -388,9 +435,21 @@ class RunLedger:
         A stale claim (latest heartbeat older than ``lease_timeout_s``)
         marks a crashed worker: the scenario is re-issued to us, with
         ``reissued=True`` so progress reporting can account for it.
+
+        The claim row records how much of the ledger this handle had
+        read *before* the call — the caller's pre-claim look (e.g. its
+        :meth:`completed_keys` check). If another worker's ``ok`` result
+        for the key landed after that look, the claim is void and we
+        defer: the scenario finished while we were deciding to claim it.
+        A key that was already ``ok`` when we looked (its artifact has
+        since vanished) stays re-claimable.
         """
         if now is None:
             now = time.time()
+        claim = ClaimRecord(
+            scenario_id=scenario_id, key=key, worker=worker, ts=now,
+            shard=shard, seen=self._seen,
+        )
 
         def owner(claims: list[ClaimRecord]) -> ClaimRecord | None:
             # Workers in order of first appearance; each worker's
@@ -406,17 +465,19 @@ class RunLedger:
                     return latest[w]
             return None
 
-        existing = self.open_claims().get(key, [])
+        open_by_key, last_ok = self._claim_state()
+        if _finished_unseen(claim, last_ok):
+            # Finished since our last look: claiming would only be void.
+            return ClaimDecision(owned=False, holder=last_ok[key][1])
+        existing = open_by_key.get(key, [])
         holder = owner(existing)
         if holder is not None and holder.worker != worker:
             return ClaimDecision(owned=False, holder=holder.worker)
         reissued = any(c.worker != worker for c in existing)
-        self.append(ClaimRecord(
-            scenario_id=scenario_id, key=key, worker=worker, ts=now,
-            shard=shard,
-        ))
+        self.append(claim)
         # Arbitrate on the post-append file order: whoever's claim row
-        # landed first (and is still live) owns the scenario.
+        # landed first (and is still live) owns the scenario. A result
+        # that landed between our look and our row voids the claim.
         winner = owner(self.open_claims().get(key, []))
         if winner is None or winner.worker != worker:
             return ClaimDecision(

@@ -164,10 +164,9 @@ def stage_timings_table(
 
     One row per stage, in deterministic name order: accumulated
     wall-clock, entry count, work items (geometries swept, model probes
-    paid, refinement iterations), and throughput. This is where a
-    ``--partition-search`` choice becomes visible — compare
-    ``phase1.sweep`` seconds and ``phase1.model_probes`` items across
-    modes.
+    paid, refinement iterations), and throughput — ``phase1.sweep``
+    seconds against ``phase1.model_probes`` items is the Phase I
+    pricing rate.
     """
     rows = [
         [
@@ -451,15 +450,6 @@ def sweep_summary(result: "SweepResult") -> str:
             f"DSE stage timings: phase1 {sweep_stage.seconds:.3f} s "
             f"({sweep_stage.items:,} geometries, {probed:,} model probes), "
             f"phase2 {phase2_s:.3f} s"
-        )
-    screened = result.stage_timings.get("phase1.mf_screened")
-    if screened is not None:
-        priced = result.stage_timings.get("phase1.mf_priced")
-        pruned = result.stage_timings.get("phase1.mf_pruned")
-        lines.append(
-            f"Multi-fidelity pruning: {screened.items:,} candidates "
-            f"screened, {priced.items if priced else 0:,} priced, "
-            f"{pruned.items if pruned else 0:,} pruned"
         )
     return "\n".join(lines)
 

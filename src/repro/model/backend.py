@@ -13,9 +13,9 @@ first-class, swappable decision:
   :class:`CycleBreakdown` (compute, fill/drain, DRAM, overlap);
 * :class:`AnalyticBackend` — the paper's analytical models, repackaged.
   This is the default and is **byte-identical** to the pre-seam engine:
-  the scalar reference scan, the batched NumPy kernels, and the monotone
-  partition bisection all live behind :meth:`~AnalyticBackend.
-  score_geometry` exactly as they did inside ``dse/engine.py``;
+  its :meth:`~AnalyticBackend.score_geometry` scores each geometry with
+  one vectorized dense pass over the batched NumPy kernels (small
+  ``N``) or the monotone partition bisection (large ``N``);
 * :class:`ScheduleBackend` — a memory-aware, event-driven per-node
   timeline. It composes the scheduling discipline of
   :class:`repro.arch.controller.Controller` (per-unit serialization,
@@ -30,7 +30,8 @@ first-class, swappable decision:
 
 The base-class :meth:`EvaluationBackend.score_geometry` scan is the one
 scalar reference every override must reproduce (the differential tests
-in ``tests/model/test_backend_differential.py`` use it as the oracle).
+in ``tests/model/test_backend_differential.py`` and the engine-level
+equivalence tests use it as the oracle).
 
 Contract (enforced by ``tests/model/test_backend.py``):
 
@@ -43,8 +44,8 @@ Contract (enforced by ``tests/model/test_backend.py``):
   (``overlap <= compute + fill_drain``);
 * for every backend, ``total == compute + fill_drain + dram - overlap``.
 
-The backend choice is **result-affecting** — unlike ``--jobs`` or
-``--partition-search`` it changes which design wins — so it joins the
+The backend choice is **result-affecting** — unlike ``--jobs`` it
+changes which design wins — so it joins the
 artifact-cache key (:mod:`repro.flow.artifacts`) and is recorded in
 every :class:`~repro.dse.engine.DseReport`.
 """
@@ -266,15 +267,13 @@ class EvaluationBackend(abc.ABC):
         n_sub: int,
         layers: tuple[GemmDims, ...],
         vsa_nodes: tuple[VsaDims, ...],
-        search: str = "dense",
     ) -> GeometryScore:
         """Best static split + sequential fallback for one geometry.
 
         The default implementation is the reference semantics every
         override must reproduce: scan ``N̄l`` ascending through
         :meth:`parallel_cycles` with strict-``<`` updates (first wins on
-        ties). ``search`` is a strategy hint; backends without a faster
-        strategy ignore it.
+        ties).
         """
         t_seq = int(self.sequential_cycles(h, w, n_sub, layers, vsa_nodes))
         evaluated = 1
@@ -310,11 +309,10 @@ class EvaluationBackend(abc.ABC):
         geometries: Sequence[tuple[int, int, int]],
         layers: tuple[GemmDims, ...],
         vsa_nodes: tuple[VsaDims, ...],
-        search: str = "dense",
     ) -> list[GeometryScore]:
         """Score a batch of ``(H, W, N)`` geometries (one pool work unit)."""
         return [
-            self.score_geometry(h, w, n, layers, vsa_nodes, search)
+            self.score_geometry(h, w, n, layers, vsa_nodes)
             for h, w, n in geometries
         ]
 
@@ -366,7 +364,7 @@ def _sequential_allocs(n_sub: int, count: int) -> list[int]:
     return [n_sub] * count
 
 
-#: ``auto`` threshold shared with the engine: at or below this many
+#: Per-geometry partition-search threshold: at or below this many
 #: sub-arrays a vectorized dense pass beats the bisection's per-probe
 #: NumPy dispatch overhead.
 AUTO_DENSE_MAX_N = 16
@@ -376,12 +374,11 @@ class AnalyticBackend(EvaluationBackend):
     """The paper's Eqs. 1-5 behind the protocol — the default backend.
 
     Pricing is pure compute-cycle arithmetic: no DRAM term, no transfer
-    overlap. ``score_geometry`` carries the engine's entire historical
-    search machinery — the scalar reference scan (``dense``), the
-    monotone crossing-point bisection over the batched int64 kernels
-    (``bisect``), and the per-geometry ``auto`` choice — and every
-    strategy returns bit-identical scores (the contract
-    ``bench_dse_hotpath.py --check-only`` guards in CI).
+    overlap. ``score_geometry`` picks the partition search per geometry —
+    a vectorized dense pass at ``N <= AUTO_DENSE_MAX_N``, the monotone
+    crossing-point bisection over the batched int64 kernels above it —
+    and returns scores bit-identical to the base-class scalar scan (the
+    contract ``bench_dse_hotpath.py --check-only`` guards in CI).
     """
 
     name: ClassVar[str] = "analytic"
@@ -412,54 +409,40 @@ class AnalyticBackend(EvaluationBackend):
             vsa_total_runtime(h, w, nv, vsa_nodes),
         )
 
-    # -- Phase I machinery (moved verbatim from dse/engine.py) -----------------
+    # -- Phase I scoring -------------------------------------------------------
 
     def score_geometry(
-        self, h, w, n_sub, layers, vsa_nodes, search="dense",
-        *, arrays=None, t_seq=None,
+        self, h, w, n_sub, layers, vsa_nodes, *, arrays=None, t_seq=None,
     ) -> GeometryScore:
         """Score one geometry exactly as the serial Phase I sweep does.
 
-        ``search == "dense"`` is the reference path: the inner
-        static-partition loop runs ``N̄l`` ascending through the scalar
-        models with strict-``<`` updates, so the per-geometry winner
-        matches the historical serial sweep bit for bit. The batched
-        paths (``bisect`` directly, ``auto`` per geometry) produce the
-        identical triple via the monotone crossing-point search — or one
-        vectorized dense pass when ``N`` is small enough that probe
-        dispatch overhead would dominate.
+        The per-geometry winner is the base-class reference scan's
+        (``N̄l`` ascending, strict-``<`` first wins), found through the
+        batched int64 kernels: one vectorized dense pass when ``N`` is at
+        most :data:`AUTO_DENSE_MAX_N` (probe dispatch overhead would
+        dominate a bisection), the monotone crossing-point search above.
         """
-        if search == "dense":
-            # The base-class reference scan through this backend's
-            # primitives *is* the historical serial Phase I sweep: one
-            # strict-< first-wins loop, kept in exactly one place.
+        if arrays is None:
+            arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
+        if not fits_int64_domain(arrays, h, h, w, w):
+            # Pathologically large dimensions could wrap the int64
+            # kernels; the base-class scalar scan handles any magnitude
+            # and returns the identical result.
             return super().score_geometry(h, w, n_sub, layers, vsa_nodes)
-        else:
-            if arrays is None:
-                arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
-            if not fits_int64_domain(arrays, h, h, w, w):
-                # Pathologically large dimensions could wrap the int64
-                # kernels; the scalar reference path handles any
-                # magnitude and returns the identical result.
-                return self.score_geometry(h, w, n_sub, layers, vsa_nodes)
-            if t_seq is None:
-                t_seq = int(
-                    sequential_runtime_batch([h], [w], [n_sub], arrays)[0]
-                )
-            if vsa_nodes:
-                if search == "bisect" or n_sub > AUTO_DENSE_MAX_N:
-                    found = bisect_uniform_partition(h, w, n_sub, arrays)
-                else:
-                    found = dense_uniform_partition(h, w, n_sub, arrays)
-                t_par, nl_bar, nv_bar = (
-                    found.t_parallel, found.nl_bar, found.nv_bar
-                )
-                probes = found.probes + 1          # + the sequential schedule
-                evaluated = n_sub                  # 1 sequential + (N − 1) splits
+        if t_seq is None:
+            t_seq = int(sequential_runtime_batch([h], [w], [n_sub], arrays)[0])
+        if vsa_nodes:
+            if n_sub > AUTO_DENSE_MAX_N:
+                found = bisect_uniform_partition(h, w, n_sub, arrays)
             else:
-                t_par, nl_bar, nv_bar = t_seq, n_sub, 0
-                probes = 1
-                evaluated = 1
+                found = dense_uniform_partition(h, w, n_sub, arrays)
+            t_par, nl_bar, nv_bar = found.t_parallel, found.nl_bar, found.nv_bar
+            probes = found.probes + 1          # + the sequential schedule
+            evaluated = n_sub                  # 1 sequential + (N − 1) splits
+        else:
+            t_par, nl_bar, nv_bar = t_seq, n_sub, 0
+            probes = 1
+            evaluated = 1
         return GeometryScore(
             t_sequential=t_seq, t_parallel=t_par,
             nl_bar=nl_bar, nv_bar=nv_bar,
@@ -467,21 +450,17 @@ class AnalyticBackend(EvaluationBackend):
         )
 
     def score_geometries(
-        self, geometries, layers, vsa_nodes, search="dense",
+        self, geometries, layers, vsa_nodes,
     ) -> list[GeometryScore]:
-        """Score a batch under one strategy, with a shared batched precompute.
+        """Score a batch with a shared batched precompute.
 
-        The batched strategies pre-evaluate every geometry's sequential
-        runtime in a single NumPy pass over the whole batch
-        (``G × (L + V)`` elementwise ops) before running the
-        per-geometry partition search.
+        Every geometry's sequential runtime is pre-evaluated in a single
+        NumPy pass over the whole batch (``G × (L + V)`` elementwise
+        ops) before the per-geometry partition search.
         """
         geometries = list(geometries)
-        if search == "dense" or not geometries:
-            return [
-                self.score_geometry(h, w, n, layers, vsa_nodes)
-                for h, w, n in geometries
-            ]
+        if not geometries:
+            return []
         arrays = cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
         hs = np.array([g[0] for g in geometries], dtype=np.int64)
         ws = np.array([g[1] for g in geometries], dtype=np.int64)
@@ -493,9 +472,7 @@ class AnalyticBackend(EvaluationBackend):
             # check keep the batched path where it individually fits,
             # reverting only the unsafe geometries to the scalar scan.
             return [
-                self.score_geometry(
-                    h, w, n, layers, vsa_nodes, search=search, arrays=arrays
-                )
+                self.score_geometry(h, w, n, layers, vsa_nodes, arrays=arrays)
                 for h, w, n in geometries
             ]
         t_seq = sequential_runtime_batch(
@@ -505,7 +482,7 @@ class AnalyticBackend(EvaluationBackend):
         )
         return [
             self.score_geometry(
-                h, w, n, layers, vsa_nodes, search=search, arrays=arrays,
+                h, w, n, layers, vsa_nodes, arrays=arrays,
                 t_seq=int(t_seq[i]),
             )
             for i, (h, w, n) in enumerate(geometries)
@@ -925,16 +902,12 @@ class ScheduleBackend(EvaluationBackend):
 
         return price
 
-    def score_geometry(
-        self, h, w, n_sub, layers, vsa_nodes, search="dense",
-    ) -> GeometryScore:
+    def score_geometry(self, h, w, n_sub, layers, vsa_nodes) -> GeometryScore:
         """One geometry: the single-geometry case of :meth:`score_geometries`."""
-        return self.score_geometries(
-            [(h, w, n_sub)], layers, vsa_nodes, search
-        )[0]
+        return self.score_geometries([(h, w, n_sub)], layers, vsa_nodes)[0]
 
     def score_geometries(
-        self, geometries, layers, vsa_nodes, search="dense",
+        self, geometries, layers, vsa_nodes,
     ) -> list[GeometryScore]:
         """Price every ``(geometry, N̄l)`` row of a work unit in one pass.
 
@@ -947,9 +920,7 @@ class ScheduleBackend(EvaluationBackend):
         are built once per call. When an exact Python-int bound on the
         largest value a row can reach (the analytic worst case plus all
         transfer cycles) nears int64, each geometry is re-checked alone
-        and the ones still too large take the scalar scan. ``search``
-        is ignored: the batched dense pass is this backend's only
-        strategy.
+        and the ones still too large take the scalar scan.
         """
         geometries = list(geometries)
         if not geometries:

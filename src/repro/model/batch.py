@@ -28,9 +28,10 @@ this module. Because NumPy wraps silently on int64 overflow, every
 entry point first checks an exact Python-int worst-case bound for its
 ``(H, W)`` domain (the models are monotone, so the extreme sits at
 partition 1) and raises :class:`~repro.errors.ConfigError` when a
-workload's dimensions could overflow — use the scalar
-``partition_search="dense"`` path for such pathological sizes rather
-than risk a silently wrong design.
+workload's dimensions could overflow — the backends route such
+pathological sizes to the scalar reference scan
+(``EvaluationBackend.score_geometry``) rather than risk a silently
+wrong design.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def fits_int64_domain(
     """True when the batched kernels cannot overflow for this domain.
 
     Memoized per :class:`WorkloadArrays` instance, so callers (the
-    engine's ``auto``/``bisect`` paths, Phase II) can probe it per
+    analytic backend's Phase I scoring, Phase II) can probe it per
     geometry for the cost of a set lookup and fall back to the scalar
     models when it fails.
     """
@@ -142,8 +143,8 @@ def _check_int64_headroom(
             "workload dimensions too large for the batched int64 runtime "
             f"kernels (worst-case cycle count {worst:.3e} exceeds the "
             f"int64 guard for H in [{h_lo}, {h_hi}], W in [{w_lo}, "
-            f"{w_hi}]); use the scalar models (partition_search='dense') "
-            "for this workload"
+            f"{w_hi}]); use the scalar dense scan "
+            "(EvaluationBackend.score_geometry) for this workload"
         )
 
 

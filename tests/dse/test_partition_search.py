@@ -1,27 +1,27 @@
-"""Equivalence contract of the partition-search strategies.
+"""Equivalence contract of Phase I's partition search.
 
-The engine promises that ``partition_search`` (and ``jobs``) trade
-wall-clock only: for any workload, geometry, and PE budget, the bisect
-path must return the same ``(t_parallel, N̄l, N̄v)`` as the dense serial
-scan, and the full :class:`~repro.dse.engine.DseReport` must be
-**byte-identical** across every mode × jobs combination. These tests
-are the contract; CI's perf-smoke job re-checks it at a tiny budget via
+The analytic backend scores each geometry with a vectorized dense pass
+(``N <= AUTO_DENSE_MAX_N``) or the monotone crossing-point bisection
+(above it); both must return the same ``(t_parallel, N̄l, N̄v)`` as the
+base-class scalar scan ``EvaluationBackend.score_geometry``, and a full
+:class:`~repro.dse.engine.DseReport` priced through any of them — at any
+``jobs`` — must be **byte-identical**. The surviving reference scans are
+test oracles here: ``batch.dense_uniform_partition`` /
+``batch.bisect_uniform_partition`` at the backend level, and analytic
+backend subclasses that force one strategy (same ``name``/``version``)
+at the engine, sweep and CLI levels. CI's perf-smoke job re-checks the
+engine-level contract at a tiny budget via
 ``benchmarks/bench_dse_hotpath.py --check-only``.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dse.engine import (
-    AUTO_DENSE_MAX_N,
-    PARTITION_SEARCH_MODES,
-    DseEngine,
-    DsePool,
-    GeometryCandidate,
-    _evaluate_geometry,
-)
+from repro.dse import engine as engine_module
+from repro.dse.engine import AUTO_DENSE_MAX_N, DseEngine, DsePool
 from repro.dse.timing import (
     clear_stage_timings,
     stage_timings,
@@ -31,9 +31,12 @@ from repro.dse.timing import (
 from repro.errors import DSEError
 from repro.flow.cli import main
 from repro.flow.sweep import ScenarioGrid, run_sweep
+from repro.model.backend import AnalyticBackend, EvaluationBackend
+from repro.model.batch import bisect_uniform_partition, dense_uniform_partition
 from repro.model.cache import (
     LAYER_RUNTIME_CACHE,
     cache_stats,
+    cached_workload_arrays,
     clear_model_caches,
     counters_snapshot,
 )
@@ -50,6 +53,52 @@ gemm = st.builds(
 vsa = st.builds(VsaDims, n=st.integers(1, 48), d=st.integers(1, 1024))
 
 
+class ScalarScanOracle(AnalyticBackend):
+    """The analytic backend priced through the base-class scalar scan."""
+
+    score_geometry = EvaluationBackend.score_geometry
+    score_geometries = EvaluationBackend.score_geometries
+
+
+class BisectOracle(AnalyticBackend):
+    """The analytic backend bisecting at every ``N``, not only large ones."""
+
+    def score_geometry(self, h, w, n_sub, layers, vsa_nodes, **_):
+        score = super().score_geometry(h, w, n_sub, layers, vsa_nodes)
+        if not vsa_nodes:
+            return score
+        found = bisect_uniform_partition(
+            h, w, n_sub, cached_workload_arrays(tuple(layers), tuple(vsa_nodes))
+        )
+        return dataclasses.replace(
+            score, t_parallel=found.t_parallel, nl_bar=found.nl_bar,
+            nv_bar=found.nv_bar, probes=found.probes + 1,
+        )
+
+
+#: The engine-level strategies under test, keyed by the search they run:
+#: ``auto`` is the production analytic backend.
+BACKENDS = {"auto": "analytic", "bisect": BisectOracle()}
+
+
+def _scored(score):
+    return (score.t_parallel, score.nl_bar, score.nv_bar,
+            score.t_sequential, score.evaluated)
+
+
+def _oracle_factory(oracle_cls, built: list):
+    """``make_backend`` stand-in that prices ``analytic`` with an oracle."""
+    real = engine_module.make_backend
+
+    def make_backend(name, **kwargs):
+        if name != "analytic":
+            return real(name, **kwargs)
+        built.append(oracle_cls)
+        return oracle_cls()
+
+    return make_backend
+
+
 class TestGeometryEquivalence:
     @given(
         st.lists(gemm, min_size=1, max_size=5),
@@ -61,38 +110,47 @@ class TestGeometryEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_all_modes_agree_per_geometry(self, layers, vsa_nodes, h, w,
                                           n_sub):
-        cand = GeometryCandidate(index=0, h=h, w=w, n_sub=n_sub)
         layers, vsa_nodes = tuple(layers), tuple(vsa_nodes)
-        dense = _evaluate_geometry(cand, layers, vsa_nodes, search="dense")
-        for mode in ("bisect", "auto"):
-            other = _evaluate_geometry(cand, layers, vsa_nodes, search=mode)
-            assert (
-                other.t_parallel, other.nl_bar, other.nv_bar,
-                other.t_sequential, other.evaluated,
-            ) == (
-                dense.t_parallel, dense.nl_bar, dense.nv_bar,
-                dense.t_sequential, dense.evaluated,
-            ), mode
+        backend = AnalyticBackend()
+        scalar = EvaluationBackend.score_geometry(
+            backend, h, w, n_sub, layers, vsa_nodes
+        )
+        for oracle in (backend, BisectOracle()):
+            score = oracle.score_geometry(h, w, n_sub, layers, vsa_nodes)
+            assert _scored(score) == _scored(scalar), type(oracle).__name__
+        if vsa_nodes:
+            arrays = cached_workload_arrays(layers, vsa_nodes)
+            for search in (dense_uniform_partition, bisect_uniform_partition):
+                found = search(h, w, n_sub, arrays)
+                assert (found.t_parallel, found.nl_bar, found.nv_bar) == (
+                    scalar.t_parallel, scalar.nl_bar, scalar.nv_bar
+                ), search.__name__
 
     def test_overflow_risk_falls_back_to_scalar_path(self):
-        """Huge dims: batched modes silently use the scalar dense scan."""
-        cand = GeometryCandidate(index=0, h=4, w=4, n_sub=4)
+        """Huge dims: the batched scoring silently uses the scalar scan."""
         layers = (GemmDims(30_000_000, 30_000_000, 30_000_000),)
         vsa_nodes = (VsaDims(2, 64),)
-        dense = _evaluate_geometry(cand, layers, vsa_nodes, search="dense")
-        for mode in ("bisect", "auto"):
-            other = _evaluate_geometry(cand, layers, vsa_nodes, search=mode)
-            assert (other.t_parallel, other.nl_bar, other.nv_bar) == (
-                dense.t_parallel, dense.nl_bar, dense.nv_bar
+        backend = AnalyticBackend()
+        scalar = EvaluationBackend.score_geometry(
+            backend, 4, 4, 4, layers, vsa_nodes
+        )
+        for score in (
+            backend.score_geometry(4, 4, 4, layers, vsa_nodes),
+            *backend.score_geometries([(4, 4, 4)], layers, vsa_nodes),
+        ):
+            assert (score.t_parallel, score.nl_bar, score.nv_bar) == (
+                scalar.t_parallel, scalar.nl_bar, scalar.nv_bar
             )
-            assert other.probes == dense.probes  # proof it took the scalar path
+            assert score.probes == scalar.probes  # proof it took the scalar path
 
     def test_bisect_probes_fewer_models_at_scale(self):
-        cand = GeometryCandidate(index=0, h=4, w=4, n_sub=512)
         layers = (GemmDims(64, 2048, 64),)
         vsa_nodes = (VsaDims(16, 4096),)
-        dense = _evaluate_geometry(cand, layers, vsa_nodes, search="dense")
-        fast = _evaluate_geometry(cand, layers, vsa_nodes, search="bisect")
+        backend = AnalyticBackend()
+        dense = EvaluationBackend.score_geometry(
+            backend, 4, 4, 512, layers, vsa_nodes
+        )
+        fast = backend.score_geometry(4, 4, 512, layers, vsa_nodes)
         assert dense.probes == 512           # 1 sequential + 511 splits
         assert fast.probes < dense.probes // 10
         assert fast.evaluated == dense.evaluated  # logical count is shared
@@ -102,25 +160,25 @@ class TestGeometryEquivalence:
 class TestReportEquivalence:
     def test_report_is_byte_identical(self, small_nvsa_graph, mode):
         baseline = DseEngine(
-            max_pes=1024, partition_search="dense"
+            max_pes=1024, backend=ScalarScanOracle()
         ).explore(small_nvsa_graph)
         report = DseEngine(
-            max_pes=1024, partition_search=mode
+            max_pes=1024, backend=BACKENDS[mode]
         ).explore(small_nvsa_graph)
         assert pickle.dumps(report) == pickle.dumps(baseline)
 
     def test_report_identical_across_jobs(self, small_nvsa_graph, mode):
         serial = DseEngine(
-            max_pes=256, partition_search=mode, jobs=1
+            max_pes=256, backend=BACKENDS[mode], jobs=1
         ).explore(small_nvsa_graph)
         pooled = DseEngine(
-            max_pes=256, partition_search=mode, jobs=2
+            max_pes=256, backend=BACKENDS[mode], jobs=2
         ).explore(small_nvsa_graph)
         assert pickle.dumps(pooled) == pickle.dumps(serial)
 
 
 class TestSweepEquivalence:
-    def test_sweep_outcomes_identical_across_modes_and_jobs(self):
+    def test_sweep_outcomes_identical_across_modes_and_jobs(self, monkeypatch):
         grid = ScenarioGrid(workloads=("prae", "mimonet"),
                             max_pes=(256,))
 
@@ -136,35 +194,23 @@ class TestSweepEquivalence:
                 for o in result.outcomes
             ]
 
-        baseline = fingerprint(run_sweep(grid, partition_search="dense"))
-        for mode in ("bisect", "auto"):
-            assert fingerprint(
-                run_sweep(grid, partition_search=mode)
-            ) == baseline, mode
-        assert fingerprint(
-            run_sweep(grid, partition_search="auto", jobs=2)
-        ) == baseline
-
-    def test_sweep_rejects_unknown_mode(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            run_sweep(ScenarioGrid(workloads=("prae",)),
-                      partition_search="quantum")
+        built: list = []
+        with monkeypatch.context() as m:
+            m.setattr(engine_module, "make_backend",
+                      _oracle_factory(ScalarScanOracle, built))
+            baseline = fingerprint(run_sweep(grid))
+        assert built, "the oracle backend never priced the sweep"
+        for oracle in (BisectOracle, AnalyticBackend):
+            with monkeypatch.context() as m:
+                m.setattr(engine_module, "make_backend",
+                          _oracle_factory(oracle, built))
+                assert fingerprint(run_sweep(grid)) == baseline, oracle
+        assert fingerprint(run_sweep(grid, jobs=2)) == baseline
 
     def test_sweep_result_carries_stage_timings(self):
         result = run_sweep(ScenarioGrid(workloads=("prae",), max_pes=(256,)))
         assert "phase1.sweep" in result.stage_timings
         assert result.stage_timings["phase1.sweep"].items > 0
-
-
-class TestEngineValidation:
-    def test_unknown_partition_search_rejected(self):
-        with pytest.raises(DSEError):
-            DseEngine(partition_search="linear")
-
-    def test_modes_tuple_is_the_cli_contract(self):
-        assert PARTITION_SEARCH_MODES == ("auto", "bisect", "dense")
 
 
 class TestPoolLifecycle:
@@ -254,19 +300,21 @@ class TestStageTimings:
 
 
 class TestCli:
-    def test_compile_partition_search_and_timings(self, capsys):
-        assert main([
-            "compile", "mimonet", "--partition-search", "bisect", "--timings",
-        ]) == 0
+    def test_compile_timings(self, capsys):
+        assert main(["compile", "mimonet", "--timings"]) == 0
         out = capsys.readouterr().out
         assert "DSE stage timings" in out
         assert "phase1.sweep" in out
 
-    def test_compile_modes_agree_on_stdout_design(self, capsys):
+    def test_compile_modes_agree_on_stdout_design(self, capsys, monkeypatch):
         designs = []
-        for mode in PARTITION_SEARCH_MODES:
-            assert main(["compile", "mimonet", "--partition-search", mode]) \
-                == 0
+        for oracle in (AnalyticBackend, ScalarScanOracle, BisectOracle):
+            built: list = []
+            with monkeypatch.context() as m:
+                m.setattr(engine_module, "make_backend",
+                          _oracle_factory(oracle, built))
+                assert main(["compile", "mimonet"]) == 0
+            assert built == [oracle]
             out = capsys.readouterr().out
             designs.append(
                 [line for line in out.splitlines()
@@ -275,11 +323,10 @@ class TestCli:
             )
         assert designs[0] == designs[1] == designs[2]
 
-    def test_sweep_partition_search_flag(self, capsys):
+    def test_sweep_timings(self, capsys):
         assert main([
-            "sweep", "--workloads", "prae", "--no-cache",
-            "--partition-search", "dense", "--timings",
+            "sweep", "--workloads", "prae", "--no-cache", "--timings",
         ]) == 0
         out = capsys.readouterr().out
         assert "DSE stage timings" in out
-        assert "phase1.search_dense" in out
+        assert "phase1.model_probes" in out

@@ -151,6 +151,56 @@ class TestClaimProtocol:
         ledger.append(_result("k", worker="alice", sid="sid"))
         assert ledger.open_claims() == {}
 
+    def test_result_landing_after_pre_claim_read_defers(self, tmp_path):
+        """The racing-workers interleaving, replayed deterministically.
+
+        bob checks ``completed_keys()``; alice then claims, prices and
+        records the key; bob's claim must lose to the finished result
+        and leave no open claim behind.
+        """
+        path = tmp_path / "shared.jsonl"
+        alice, bob = RunLedger(path), RunLedger(path)
+        assert "k" not in bob.completed_keys()
+        assert alice.acquire("k", "k", "alice").owned
+        alice.append(_result("k", worker="alice"))
+        decision = bob.acquire("k", "k", "bob")
+        assert not decision.owned and decision.holder == "alice"
+        ledger = RunLedger(path)
+        assert [r.key for r in ledger.records()] == ["k"]
+        assert ledger.open_claims() == {}
+
+    def test_claim_row_after_unseen_result_is_void(self, tmp_path):
+        """The narrower window: alice's result lands between bob's look
+        and bob's claim row. The row is written, but void."""
+        path = tmp_path / "shared.jsonl"
+        ledger = RunLedger(path)
+        ledger.acquire("k", "k", "alice")
+        ledger.append(_result("k", worker="alice"))
+        ledger.append(ClaimRecord(scenario_id="k", key="k", worker="bob",
+                                  ts=0.0, seen=0))   # looked at an empty file
+        assert ledger.open_claims() == {}
+        # Claimed after seeing the result (its artifact vanished): live.
+        relooked = ClaimRecord(scenario_id="k", key="k", worker="bob",
+                               ts=0.0, seen=path.stat().st_size)
+        ledger.append(relooked)
+        assert ledger.open_claims() == {"k": [relooked]}
+
+    def test_result_seen_before_claim_stays_reclaimable(self, tmp_path):
+        """A key already ``ok`` when the caller looked can be re-priced.
+
+        That is the vanished-artifact case: the ledger says done, the
+        store no longer holds it, and the worker knowingly re-claims.
+        """
+        path = tmp_path / "shared.jsonl"
+        alice, bob = RunLedger(path), RunLedger(path)
+        alice.acquire("k", "k", "alice")
+        alice.append(_result("k", worker="alice"))
+        assert "k" in bob.completed_keys()             # seen by reading
+        assert bob.acquire("k", "k", "bob").owned
+        bob.append(_result("k", worker="bob"))
+        carol = RunLedger(path)                        # seen on opening
+        assert carol.acquire("k", "k", "carol").owned
+
 
 _text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1,

@@ -270,6 +270,26 @@ def test_bad_since_cursor_is_a_client_error(tmp_path):
         assert client.job(job["job_id"], since=0)["status"] == "done"
 
 
+def test_removed_search_fields_are_rejected_not_priced(tmp_path):
+    """Phase I has one search path: a request still naming the removed
+    ``search``/``searches`` knob gets a 400 naming the field, and the
+    pool prices nothing."""
+    with running_server(tmp_path / "cache") as server:
+        client = _client(server)
+        with pytest.raises(ServeError, match=r"400.*unknown compile "
+                                             r"request field\(s\): search"):
+            client.compile_scenario(
+                {"workload": "prae", "search": "multifidelity"}
+            )
+        with pytest.raises(ServeError, match=r"400.*unknown sweep "
+                                             r"request field\(s\): searches"):
+            client.submit_sweep(
+                {"workloads": ["prae"], "searches": ["exhaustive"]}
+            )
+        assert client.stats()["pricings"] == 0
+        assert client.jobs() == {"jobs": []}
+
+
 def test_accuracy_request_threads_through_the_server(tmp_path):
     """ScenarioSpec's accuracy fields are accepted on /compile and join
     the scenario identity served back to the client."""

@@ -355,89 +355,6 @@ class TestResume:
             run_sweep(grid, ledger=tmp_path / "l.jsonl", resume=True)
 
 
-class TestMultiFidelityResume:
-    """Ledger/resume interaction for the multi-fidelity search mode."""
-
-    def _mf_grid(self, seeds: str) -> ScenarioGrid:
-        # Schedule backend so the analytic screen actually prunes
-        # (multi-fidelity over the analytic backend screens with the
-        # priced model itself and proves the degenerate case instead).
-        return synth_grid(seeds, backends=("schedule",),
-                          searches=("multifidelity",))
-
-    @staticmethod
-    def _mf_counters(stage_timings) -> dict:
-        return {
-            name: stat.items for name, stat in stage_timings.items()
-            if name.startswith("phase1.mf_")
-        }
-
-    def test_interrupted_mf_sweep_resumes_with_identical_counters(
-        self, tmp_path,
-    ):
-        from repro.dse.timing import stage_timings_since, timings_snapshot
-        grid = self._mf_grid("0-4")
-
-        # Cold reference run: the pruning counters the whole grid costs.
-        cold_store = ArtifactStore(tmp_path / "cold-cache")
-        cold = run_sweep(grid, store=cold_store,
-                         ledger=RunLedger(tmp_path / "cold.jsonl"))
-        assert cold.n_compiled == 5
-        cold_counters = self._mf_counters(cold.stage_timings)
-        assert cold_counters["phase1.mf_pruned"] > 0
-
-        # Same grid, killed after two scenarios.
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        store = ArtifactStore(tmp_path / "cache")
-        calls = {"n": 0}
-
-        def die_after_two(outcome):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise KeyboardInterrupt
-
-        snapshot = timings_snapshot()
-        with pytest.raises(KeyboardInterrupt):
-            run_sweep(grid, store=store, ledger=ledger,
-                      progress=die_after_two)
-        partial_counters = self._mf_counters(stage_timings_since(snapshot))
-
-        # Resume: zero re-priced scenarios, and the remainder's pruning
-        # counters close the gap to the cold run exactly — no candidate
-        # is ever screened or priced twice across the interrupt.
-        resumed = run_sweep(grid, store=store, ledger=ledger, resume=True)
-        assert resumed.n_resumed == 2
-        assert resumed.n_compiled == 3
-        assert resumed.n_errors == 0
-        resumed_counters = self._mf_counters(resumed.stage_timings)
-        assert {
-            name: partial_counters.get(name, 0) + resumed_counters.get(name, 0)
-            for name in cold_counters
-        } == cold_counters
-
-        # A second resume re-prices nothing at all: every mf counter is
-        # zero because no scenario even reaches the screen.
-        warm = run_sweep(grid, store=store, ledger=ledger, resume=True)
-        assert warm.n_resumed == 5
-        assert warm.total_evaluations == 0
-        assert warm.fresh_model_evaluations == 0
-        assert self._mf_counters(warm.stage_timings) == {}
-
-    def test_mf_scenarios_resume_from_exhaustive_ledger_rows(self, tmp_path):
-        """Search modes share cache keys, so either mode resumes the other."""
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        store = ArtifactStore(tmp_path / "cache")
-        exhaustive = synth_grid("0-2", backends=("schedule",))
-        cold = run_sweep(exhaustive, store=store, ledger=ledger)
-        assert cold.n_compiled == 3
-
-        mf = self._mf_grid("0-2")
-        resumed = run_sweep(mf, store=store, ledger=ledger, resume=True)
-        assert resumed.n_resumed == 3
-        assert resumed.total_evaluations == 0
-        assert resumed.fresh_model_evaluations == 0
-
-
 @pytest.mark.slow
 class TestLargeSynthSweep:
     """The scenario-scale acceptance contract, run in the CI deep job."""

@@ -38,7 +38,13 @@ from repro.model.backend import (
     EvaluationBackend,
     ScheduleBackend,
 )
-from repro.model.batch import _INT64_HEADROOM, _worst_case_total
+from repro.model.batch import (
+    _INT64_HEADROOM,
+    _worst_case_total,
+    bisect_uniform_partition,
+    dense_uniform_partition,
+)
+from repro.model.cache import cached_workload_arrays
 from repro.nn.gemm import GemmDims
 from repro.quant import MIXED_PRECISION_PRESETS
 from repro.trace.opnode import VsaDims
@@ -120,15 +126,20 @@ class TestDifferentialQuick:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_schedule_dominates_across_search_strategies(self, config):
-        """score_geometry is search-strategy-invariant on generated DAGs."""
+        """Analytic scoring equals every partition-search oracle on DAGs."""
         layers, vsa = workload_dims(config)
         h, w, n = 8, 8, 4
-        ref = _ANALYTIC.score_geometry(h, w, n, layers, vsa, "dense")
-        for search in ("bisect", "auto"):
-            score = _ANALYTIC.score_geometry(h, w, n, layers, vsa, search)
-            assert (score.t_sequential, score.t_parallel,
-                    score.nl_bar, score.nv_bar) == (
-                ref.t_sequential, ref.t_parallel, ref.nl_bar, ref.nv_bar)
+        ref = EvaluationBackend.score_geometry(_ANALYTIC, h, w, n, layers, vsa)
+        score = _ANALYTIC.score_geometry(h, w, n, layers, vsa)
+        assert (score.t_sequential, score.t_parallel,
+                score.nl_bar, score.nv_bar) == (
+            ref.t_sequential, ref.t_parallel, ref.nl_bar, ref.nv_bar)
+        if vsa:
+            arrays = cached_workload_arrays(layers, vsa)
+            for search in (dense_uniform_partition, bisect_uniform_partition):
+                found = search(h, w, n, arrays)
+                assert (found.t_parallel, found.nl_bar, found.nv_bar) == (
+                    ref.t_parallel, ref.nl_bar, ref.nv_bar), search.__name__
 
 
 @pytest.mark.slow
@@ -160,28 +171,27 @@ class TestDifferentialDeep:
 
 def assert_screen_batches_admissible(config: SynthConfig,
                                      max_pes: int) -> None:
-    """Schedule dominates analytic on the pruner's exact screen batch.
+    """Schedule dominates analytic on the engine's whole candidate batch.
 
-    The multi-fidelity pruner (:mod:`repro.dse.multifidelity`) screens the
-    engine's whole candidate stream through one batched
-    ``AnalyticBackend.score_geometries`` call and treats the result as an
-    admissible lower bound on the schedule backend — both per-mode cycle
-    counts, for every candidate in the batch. This is that exact call
-    shape, not a per-geometry loop.
+    A backend invariant: the analytic score is an admissible lower bound
+    on the schedule backend — both per-mode cycle counts, for every
+    candidate the engine enumerates — when each backend prices the whole
+    stream in one batched ``score_geometries`` call (the shape of a
+    ``jobs == 1`` Phase I work unit), not a per-geometry loop.
     """
     layers, vsa = workload_dims(config)
     engine = DseEngine(max_pes=max_pes)
     geoms = [(c.h, c.w, c.n_sub) for c in engine.iter_candidates()]
-    assert geoms, "screen batch must be non-empty"
-    lbs = _ANALYTIC.score_geometries(geoms, layers, vsa, "auto")
-    expensive = _SCHEDULE.score_geometries(geoms, layers, vsa, "auto")
+    assert geoms, "candidate batch must be non-empty"
+    lbs = _ANALYTIC.score_geometries(geoms, layers, vsa)
+    expensive = _SCHEDULE.score_geometries(geoms, layers, vsa)
     for geom, lb, truth in zip(geoms, lbs, expensive):
         assert truth.t_sequential >= lb.t_sequential, geom
         assert truth.t_parallel >= lb.t_parallel, geom
 
 
 class TestLowerBoundAdmissibility:
-    """The pruner's load-bearing invariant, on its exact batch shapes."""
+    """Schedule >= analytic on whole Phase I candidate batches."""
 
     @given(synth_configs, st.sampled_from([64, 256, 1024]))
     @settings(max_examples=30, deadline=None,
@@ -211,7 +221,7 @@ class TestLowerBoundAdmissibility:
 
 @pytest.mark.slow
 class TestLowerBoundAdmissibilityDeep:
-    """CI deep job: the screen-batch invariant across 200+ workloads."""
+    """CI deep job: the candidate-batch invariant across 200+ workloads."""
 
     @given(synth_configs, st.sampled_from([64, 256, 1024, 4096]))
     @settings(max_examples=200, deadline=None,
