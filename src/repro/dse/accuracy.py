@@ -50,8 +50,9 @@ __all__ = [
 ]
 
 #: Default problem-set size: large enough that the Table IV precision
-#: ladder (FP16 ≥ INT8 ≥ INT4) is visible, small enough that a cold
-#: evaluation stays well under a second for the PMF-algebra workloads.
+#: ladder (FP16 ≥ INT8 ≥ INT4) is visible. One cold evaluation at this
+#: size, measured on a 2-vCPU x86_64 VM: prae ~0.3 s, lvrf and nvsa
+#: ~0.55 s each, mimonet ~1.8 s (40 float64 passes of its 8-conv CNN).
 DEFAULT_ACCURACY_PROBLEMS = 16
 
 #: Default problem-set seed.
@@ -118,8 +119,10 @@ def deployed_workload(
     replaced does exactly that — construction is seeded, so the twin is
     a pure function of (config, precision), and its fingerprint (which
     folds in the config) gives precision-distinct cache identities for
-    free. Workloads without a ``precision`` config field (the synth
-    generator) pass through untouched.
+    free. Precision never touches the CNN weights, so the twin reuses
+    the seeded network the original built (see :mod:`repro.nn.resnet`).
+    Workloads without a ``precision`` config field (the synth generator)
+    pass through untouched.
     """
     cfg = getattr(workload, "config", None)
     if (
@@ -149,7 +152,9 @@ def evaluate_accuracy(
     with _lock:
         cached = _cache.get(key)
         if cached is not None:
-            _stats["hits"] += 1
+            # A recalled ``None`` (no functional pipeline) saved no work.
+            if cached.value is not None:
+                _stats["hits"] += 1
             return cached
     value = workload.evaluate_accuracy(n_problems, seed)
     result = AccuracyResult(
@@ -168,7 +173,13 @@ def evaluate_accuracy(
 
 
 def accuracy_cache_stats() -> dict[str, int]:
-    """Counters: functional evaluations executed vs memo hits."""
+    """Counters: functional evaluations executed vs memo hits.
+
+    ``executed`` counts functional pipeline runs; ``hits`` counts lookups
+    the memo answered *instead of* such a run. Lookups for workloads
+    without a functional pipeline (value ``None``, e.g. synth) count as
+    neither: nothing was executed and nothing was saved.
+    """
     with _lock:
         return dict(_stats)
 

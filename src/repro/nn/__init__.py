@@ -22,7 +22,13 @@ from .layers import (
     Sequential,
     Softmax,
 )
-from .resnet import ResNet, build_resnet18, build_small_cnn
+from .resnet import (
+    ResNet,
+    build_resnet18,
+    build_small_cnn,
+    clear_network_memo,
+    network_build_stats,
+)
 
 __all__ = [
     "GemmDims",
@@ -43,4 +49,6 @@ __all__ = [
     "ResNet",
     "build_resnet18",
     "build_small_cnn",
+    "network_build_stats",
+    "clear_network_memo",
 ]

@@ -8,8 +8,23 @@ dimensions ``d1, d2, d3 = m, n, k``:
 * ``n`` — output columns (output channels / features),
 * ``k`` — reduction depth (C·kh·kw for conv; input features for linear).
 
-``im2col`` is the standard lowering: each convolution window becomes one row
-of an ``(m, k)`` matrix so the convolution is ``im2col(x) @ W.reshape(k, n)``.
+Two lowerings gather the convolution windows; both order the reduction axis
+``(c, kh, kw)``-major, matching ``W.reshape(out_channels, -1)`` for NCHW
+weights:
+
+* ``im2col_t`` is the production lowering (``Conv2d.forward``): windows become
+  the *columns* of a ``(k, m)`` matrix, gathered with one strided copy, and
+  the convolution is ``im2col_t(x).T @ W.reshape(n, k).T``.
+* ``im2col`` is the textbook lowering, kept as the test oracle: each window
+  becomes one *row* of an ``(m, k)`` matrix, so the convolution is
+  ``im2col(x) @ W.reshape(n, k).T``. Its gather is a 6-D transposed copy.
+
+Both products pose BLAS the same ``(m, n, k)`` problem — only the window
+operand's transpose flag differs — so a blocked GEMM kernel rounds them
+identically. Tiny products may be routed to small-matrix kernels that are
+specialised per transpose flag (OpenBLAS does this on AVX-512 below about
+``m·n·k = 10⁶``) and can differ in the last bit; ``tests/nn/
+test_conv_oracle.py`` pins bit identity on every registry conv shape.
 """
 
 from __future__ import annotations
@@ -20,7 +35,14 @@ import numpy as np
 
 from ..errors import ShapeError
 
-__all__ = ["GemmDims", "im2col", "conv2d_gemm_dims", "linear_gemm_dims", "conv_output_hw"]
+__all__ = [
+    "GemmDims",
+    "im2col",
+    "im2col_t",
+    "conv2d_gemm_dims",
+    "linear_gemm_dims",
+    "conv_output_hw",
+]
 
 
 @dataclass(frozen=True)
@@ -111,3 +133,27 @@ def im2col(
     )
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kernel * kernel)
     return np.ascontiguousarray(cols)
+
+
+def im2col_t(
+    x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0
+) -> np.ndarray:
+    """Lower NCHW input windows into a ``(C·kh·kw, N·OH·OW)`` matrix.
+
+    The transpose of :func:`im2col`, gathered directly: row ordering is
+    ``(c, kh, kw)``-major and column ordering ``(n, oh, ow)``-major.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"im2col_t expects NCHW input, got shape {x.shape}")
+    n, c, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, kernel, stride, padding)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    s = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(c, kernel, kernel, n, oh, ow),
+        strides=(s[1], s[2], s[3], s[0], s[2] * stride, s[3] * stride),
+        writeable=False,
+    )
+    return windows.reshape(c * kernel * kernel, n * oh * ow)

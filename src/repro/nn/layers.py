@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..utils import make_rng, prod
-from .gemm import GemmDims, conv2d_gemm_dims, conv_output_hw, im2col, linear_gemm_dims
+from .gemm import GemmDims, conv2d_gemm_dims, conv_output_hw, im2col_t, linear_gemm_dims
 
 __all__ = [
     "Layer",
@@ -121,9 +121,13 @@ class Conv2d(Layer):
             )
         n = x.shape[0]
         oh, ow = conv_output_hw(x.shape[2], x.shape[3], self.kernel, self.stride, self.padding)
-        cols = im2col(x, self.kernel, self.stride, self.padding)
-        w = self.weight.reshape(self.out_channels, -1).T
-        out = cols @ w
+        # ``cols_t.T @ w.T`` poses BLAS the same (m, n, k) problem as the
+        # ``im2col(x) @ w.T`` oracle, so it rounds identically (see
+        # ``repro.nn.gemm``); ``w @ cols_t`` would swap m and n and round
+        # differently on some registry shapes.
+        cols_t = im2col_t(x, self.kernel, self.stride, self.padding)
+        w = self.weight.reshape(self.out_channels, -1)
+        out = cols_t.T @ w.T
         if self.bias is not None:
             out += self.bias
         return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)

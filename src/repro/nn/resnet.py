@@ -11,10 +11,18 @@ compact CNNs (Table I). Networks here support two modes:
   paper's full resolutions (e.g. batch 16 × 160×160 for NVSA) where a
   numpy forward pass would be needlessly slow: the DAG frontend only
   consumes the structure.
+
+Seeded builds are memoised: every precision twin of a workload draws the
+same weights from the same generator state, so the builders return the
+network they last built when (builder, arguments, seed state) repeat, and
+advance the generator exactly as a fresh build would. Built networks are
+read-only.
 """
 
 from __future__ import annotations
 
+import pickle
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +41,15 @@ from .layers import (
     ReLU,
 )
 
-__all__ = ["LayerOp", "BasicBlock", "ResNet", "build_resnet18", "build_small_cnn"]
+__all__ = [
+    "LayerOp",
+    "BasicBlock",
+    "ResNet",
+    "build_resnet18",
+    "build_small_cnn",
+    "network_build_stats",
+    "clear_network_memo",
+]
 
 
 @dataclass(frozen=True)
@@ -226,6 +242,74 @@ class ResNet:
         return [op for op in self.describe(input_shape) if op.gemm is not None]
 
 
+# -- seeded-build memo -------------------------------------------------------
+
+_memo_lock = threading.Lock()
+#: At most one entry: (key, network, generator state after the build).
+_memo: list[tuple[tuple, ResNet, dict | None]] = []
+_memo_stats = {"builds": 0, "hits": 0}
+
+
+def _freeze(net: ResNet) -> ResNet:
+    """Make every weight array of ``net`` read-only (it may be shared)."""
+    layers: list[Layer] = [*net.stem, *net.head]
+    for block in net.blocks:
+        layers.extend(v for v in vars(block).values() if isinstance(v, Layer))
+    for layer in layers:
+        for value in vars(layer).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return net
+
+
+def _build_once(builder, rng: np.random.Generator | int | None, **kwargs) -> ResNet:
+    """``builder(rng=rng, **kwargs)``, reusing the last network when exact.
+
+    The key is (builder, arguments, seed): an int seed as is, a shared
+    generator by its bit-generator state. On a hit the generator is moved
+    to the state the original build left it in, so every later draw from
+    it is bit-identical to a fresh build's. One entry is held and evicted
+    *before* a new build, so the memo never keeps two networks alive. An
+    unseeded (``None``) build is never reused.
+    """
+    if rng is None:
+        return _freeze(builder(rng=None, **kwargs))
+    gen = rng if isinstance(rng, np.random.Generator) else None
+    # Pickled: some bit generators keep arrays in their state, and a dict
+    # holding arrays does not compare with ``==``.
+    seed = pickle.dumps(gen.bit_generator.state) if gen is not None else rng
+    key = (builder.__name__, tuple(sorted(kwargs.items())), seed)
+    with _memo_lock:
+        if _memo and _memo[0][0] == key:
+            _, net, post_state = _memo[0]
+            if gen is not None:
+                gen.bit_generator.state = post_state
+            _memo_stats["hits"] += 1
+            return net
+        _memo.clear()
+        net = _freeze(builder(rng=rng, **kwargs))
+        post_state = gen.bit_generator.state if gen is not None else None
+        _memo.append((key, net, post_state))
+        _memo_stats["builds"] += 1
+        return net
+
+
+def network_build_stats() -> dict[str, int]:
+    """Counters: seeded networks actually built vs returned from the memo."""
+    with _memo_lock:
+        return dict(_memo_stats)
+
+
+def clear_network_memo() -> None:
+    """Drop the memoised network and reset the counters (tests)."""
+    with _memo_lock:
+        _memo.clear()
+        _memo_stats["builds"] = 0
+        _memo_stats["hits"] = 0
+
+
+# -- builders ------------------------------------------------------------------
+
 def build_resnet18(
     name: str = "resnet18",
     in_channels: int = 1,
@@ -237,7 +321,41 @@ def build_resnet18(
 
     ``num_classes`` is the embedding width feeding the VSA encoder (NVSA
     projects perception features to attribute PMFs, not ImageNet classes).
+    Seeded builds are memoised (see the module docstring).
     """
+    return _build_once(
+        _resnet18, rng, name=name, in_channels=in_channels,
+        num_classes=num_classes, base_width=base_width,
+    )
+
+
+def build_small_cnn(
+    name: str = "smallcnn",
+    in_channels: int = 1,
+    num_classes: int = 128,
+    base_width: int = 32,
+    depth: int = 4,
+    rng: np.random.Generator | int | None = None,
+) -> ResNet:
+    """A compact plain CNN (conv-bn-relu ×depth) for MIMONet/PrAE frontends.
+
+    Seeded builds are memoised (see the module docstring).
+    """
+    if depth < 1:
+        raise ShapeError(f"depth must be >= 1, got {depth}")
+    return _build_once(
+        _small_cnn, rng, name=name, in_channels=in_channels,
+        num_classes=num_classes, base_width=base_width, depth=depth,
+    )
+
+
+def _resnet18(
+    name: str,
+    in_channels: int,
+    num_classes: int,
+    base_width: int,
+    rng: np.random.Generator | int | None,
+) -> ResNet:
     stem: list[Layer] = [
         Conv2d(f"{name}.conv1", in_channels, base_width, kernel=7, stride=2,
                padding=3, bias=False, rng=rng),
@@ -263,17 +381,14 @@ def build_resnet18(
     return ResNet(name, stem, blocks, head)
 
 
-def build_small_cnn(
-    name: str = "smallcnn",
-    in_channels: int = 1,
-    num_classes: int = 128,
-    base_width: int = 32,
-    depth: int = 4,
-    rng: np.random.Generator | int | None = None,
+def _small_cnn(
+    name: str,
+    in_channels: int,
+    num_classes: int,
+    base_width: int,
+    depth: int,
+    rng: np.random.Generator | int | None,
 ) -> ResNet:
-    """A compact plain CNN (conv-bn-relu ×depth) for MIMONet/PrAE frontends."""
-    if depth < 1:
-        raise ShapeError(f"depth must be >= 1, got {depth}")
     stem: list[Layer] = []
     in_ch = in_channels
     width = base_width

@@ -107,7 +107,8 @@ class TestEvaluateAccuracy:
         assert r.value is None
         assert accuracy_cache_stats()["executed"] == 0
         evaluate_accuracy(w, 4, 0)
-        assert accuracy_cache_stats()["hits"] == 1
+        # Recalling a None saved no functional execution: not a hit.
+        assert accuracy_cache_stats() == {"executed": 0, "hits": 0}
 
     def test_int4_degrades_versus_int8(self):
         w = build_workload("prae")
