@@ -11,8 +11,9 @@ sweep: a lazy candidate stream, chunked process-pool evaluation
 (``jobs``), memoized model sub-evaluations, and a full Pareto frontier
 (latency × area × energy proxy) on ``DseReport.pareto``. Phase I has one
 search path: every candidate geometry is priced by the engine's cost
-backend (exhaustive search).
-:class:`TwoPhaseDSE` remains as the original single-winner facade.
+backend (exhaustive search). It is the package's one DSE entry point:
+``DseEngine(...).explore(graph)`` returns the single winner on
+``report.config`` and the frontier on ``report.pareto``.
 """
 
 from .accuracy import (
@@ -26,7 +27,7 @@ from .accuracy import (
     evaluate_accuracy,
 )
 from .config import DesignConfig, ExecutionMode, design_config_from_json, design_config_to_json
-from .phase1 import Phase1Result, run_phase1
+from .phase1 import Phase1Result
 from .phase2 import Phase2Result, run_phase2
 from .engine import (
     DseEngine,
@@ -38,7 +39,6 @@ from .engine import (
     ParetoPoint,
     pareto_filter,
 )
-from .explorer import TwoPhaseDSE
 from .timing import (
     StageStat,
     clear_stage_timings,
@@ -61,10 +61,8 @@ __all__ = [
     "design_config_to_json",
     "design_config_from_json",
     "Phase1Result",
-    "run_phase1",
     "Phase2Result",
     "run_phase2",
-    "TwoPhaseDSE",
     "DseEngine",
     "DsePool",
     "DseReport",

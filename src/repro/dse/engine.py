@@ -27,9 +27,9 @@ two-phase co-exploration of paper Algorithm 1, restructured as
    deterministic tie-breaking (see DESIGN.md "Pareto frontier
    semantics").
 
-:class:`repro.dse.explorer.TwoPhaseDSE` remains as a thin compatibility
-shim over this engine; its results are unchanged from the original
-serial implementation.
+The engine is the only DSE entry point. Its Phase I reproduces the
+original serial sweep exactly; that scalar sweep is kept under ``tests/``
+as the reference oracle.
 """
 
 from __future__ import annotations

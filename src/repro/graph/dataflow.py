@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-import networkx as nx
-
 from ..errors import GraphError
 from ..nn.gemm import GemmDims
 from ..trace.opnode import ExecutionUnit, OpDomain, TraceOp, VsaDims
@@ -69,12 +67,18 @@ class DataflowNode:
 
 
 class DataflowGraph:
-    """DAG over trace ops with critical-path and parallelism annotations."""
+    """DAG over trace ops with critical-path and parallelism annotations.
+
+    Adjacency is kept as insertion-ordered successor/predecessor maps, so
+    edges are de-duplicated and every traversal order is deterministic.
+    """
 
     def __init__(self, workload: str):
         self.workload = workload
-        self._g = nx.DiGraph()
         self._nodes: dict[str, DataflowNode] = {}
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
+        self._order: list[str] | None = None
         self.critical_path: list[str] = []
 
     # -- construction (used by graph.build) -----------------------------------
@@ -83,18 +87,20 @@ class DataflowGraph:
         if node.name in self._nodes:
             raise GraphError(f"duplicate dataflow node {node.name!r}")
         self._nodes[node.name] = node
-        self._g.add_node(node.name)
+        self._succ[node.name] = {}
+        self._pred[node.name] = {}
+        self._order = None
 
     def add_edge(self, producer: str, consumer: str) -> None:
         if producer not in self._nodes or consumer not in self._nodes:
             raise GraphError(f"edge references unknown node: {producer} -> {consumer}")
-        self._g.add_edge(producer, consumer)
+        self._succ[producer][consumer] = None
+        self._pred[consumer][producer] = None
+        self._order = None
 
     def validate(self) -> None:
         """Check the graph is a DAG (the controller depends on this)."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            cycle = nx.find_cycle(self._g)
-            raise GraphError(f"dataflow graph has a cycle: {cycle}")
+        self._topological_order()
 
     # -- access ------------------------------------------------------------------
 
@@ -114,26 +120,68 @@ class DataflowGraph:
             raise GraphError(f"no dataflow node named {name!r}") from exc
 
     def predecessors(self, name: str) -> list[str]:
-        return list(self._g.predecessors(name))
+        self.node(name)
+        return list(self._pred[name])
 
     def successors(self, name: str) -> list[str]:
-        return list(self._g.successors(name))
+        self.node(name)
+        return list(self._succ[name])
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Every ``(producer, consumer)`` edge, grouped by producer."""
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
 
     def topological_order(self) -> list[str]:
-        return list(nx.topological_sort(self._g))
+        return list(self._topological_order())
 
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        """Read-only view of the underlying networkx graph."""
-        return self._g
+    def _topological_order(self) -> list[str]:
+        """Kahn generation sort, computed once per graph revision.
+
+        Sources come in node-insertion order, then each generation's newly
+        freed children in successor-insertion order. ``R_l``/``R_v``
+        order, the critical-path tie-break and ``attached`` order all
+        follow from it, so the rule must not change.
+        """
+        if self._order is not None:
+            return self._order
+        indegree = {n: len(preds) for n, preds in self._pred.items()}
+        generation = [n for n, d in indegree.items() if d == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            freed = []
+            for name in generation:
+                for child in self._succ[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        freed.append(child)
+            generation = freed
+        if len(order) < len(self._nodes):
+            raise GraphError(f"dataflow graph has a cycle: {self._find_cycle(indegree)}")
+        self._order = order
+        return order
+
+    def _find_cycle(self, indegree: dict[str, int]) -> list[tuple[str, str]]:
+        """Edges of one cycle among the nodes Kahn's pass could not free.
+
+        Every such node keeps a predecessor that was never freed either,
+        so walking those predecessors must revisit a node.
+        """
+        cur = next(n for n, d in indegree.items() if d)
+        walk: dict[str, None] = {}
+        while cur not in walk:
+            walk[cur] = None
+            cur = next(p for p in self._pred[cur] if indegree[p])
+        path = list(walk)
+        cycle = path[path.index(cur):][::-1]
+        return list(zip(cycle, cycle[1:] + cycle[:1]))
 
     # -- DSE-facing selections -------------------------------------------------------
 
     def nodes_by_unit(self, unit: ExecutionUnit) -> list[DataflowNode]:
         """Nodes of one execution unit, in topological order."""
-        order = {n: i for i, n in enumerate(self.topological_order())}
-        selected = [n for n in self._nodes.values() if n.unit is unit]
-        return sorted(selected, key=lambda n: order[n.name])
+        nodes = self._nodes
+        return [nodes[n] for n in self._topological_order() if nodes[n].unit is unit]
 
     @property
     def layer_nodes(self) -> list[DataflowNode]:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.dse import DseEngine, DsePool, ExecutionMode, TwoPhaseDSE, pareto_filter
+from repro.dse import DseEngine, DsePool, ExecutionMode, pareto_filter
 from repro.dse.engine import ParetoPoint, area_pe_equiv
-from repro.dse.phase1 import run_phase1
 from repro.errors import DSEError
 from repro.model.cache import (
     LAYER_RUNTIME_CACHE,
@@ -18,6 +17,8 @@ from repro.nn.gemm import GemmDims
 from repro.quant import MIXED_PRECISION_PRESETS
 from repro.trace import ExecutionUnit, OpDomain, Tracer, VsaDims
 from repro.graph import build_dataflow_graph
+
+from phase1_reference import run_phase1
 
 
 @pytest.fixture(scope="module")
@@ -236,29 +237,11 @@ class TestCaching:
         assert MEMORY_PLAN_CACHE.stats.hits >= 1
 
 
-class TestCompatibilityShim:
-    def test_shim_matches_engine(self, small_nvsa_graph):
-        shim = TwoPhaseDSE(max_pes=1024).explore(small_nvsa_graph)
-        engine = DseEngine(max_pes=1024).explore(small_nvsa_graph)
-        assert shim.config == engine.config
-        assert shim.phase1 == engine.phase1
-        assert shim.phase2 == engine.phase2
-
+class TestSerialReference:
     def test_phase1_matches_serial_sweep(self, small_nvsa_graph):
         """The batched sweep reduces to the historical serial Phase I."""
         report = DseEngine(max_pes=1024).explore(small_nvsa_graph)
         assert report.phase1 == run_phase1(small_nvsa_graph, 1024)
-
-    def test_shim_validates_max_pes(self):
-        with pytest.raises(DSEError):
-            TwoPhaseDSE(max_pes=1000)
-
-    def test_shim_exposes_legacy_attributes(self):
-        dse = TwoPhaseDSE(max_pes=512, iter_max=3)
-        assert dse.max_pes == 512
-        assert dse.iter_max == 3
-        assert dse.range_h == (4, 256)
-        assert dse.clock_mhz == pytest.approx(272.0)
 
 
 class TestEvaluationBackends:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dse.phase1 import run_phase1, extract_cost_dims
+from repro.dse.phase1 import extract_cost_dims
 from repro.dse.phase2 import run_phase2
 from repro.errors import DSEError
 from repro.graph import build_dataflow_graph
@@ -10,6 +10,8 @@ from repro.model.runtime import nn_total_runtime, parallel_runtime, vsa_total_ru
 from repro.nn.gemm import GemmDims
 from repro.trace import ExecutionUnit, OpDomain, Tracer
 from repro.workloads.scaling import ScalableConfig, ScalableNsaiWorkload
+
+from phase1_reference import run_phase1
 
 
 @pytest.fixture(scope="module")
